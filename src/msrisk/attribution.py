@@ -12,20 +12,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .corisk import (
-    CSV_SCHEMA,
-    RiskQuery,
-    conditional_mixture,
-    marginal_es,
-    marginal_var,
-)
+from .corisk import CSV_SCHEMA, MEASURES, CoRiskEngine, coalition_masks
 from .markov import FitResult
 from .predictive import PredictiveMixture, build_predictive
-from .studentt import mixture_es, mixture_quantile
 
 MAX_PLAYERS = 20
 
@@ -67,6 +59,25 @@ class ShapleyReport:
     grand_value: float
 
 
+def _shapley_shares(values, n: int) -> np.ndarray:
+    """Exact Shapley shares from coalition values (..., 2^n) -> (..., n).
+
+    Column m of values is the coalition whose members are the set bits of
+    m.  Player k's share is the sum over coalitions S without k of
+    |S|! (n - |S| - 1)! / n! * (v(S + k) - v(S)); each difference is taken
+    before weighting, so a player that never changes a value gets exactly 0.
+    """
+    member = coalition_masks(n)
+    without = np.array(
+        [np.flatnonzero(~member[:, k]) for k in range(n)], dtype=int
+    ).reshape(n, 2**n // 2)
+    with_k = without + (1 << np.arange(n))[:, None]
+    fact = [math.factorial(i) for i in range(n + 1)]
+    weight_by_size = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
+    weight = weight_by_size[member.sum(axis=1)[without]]
+    return np.sum((values[..., with_k] - values[..., without]) * weight, axis=-1)
+
+
 def shapley(cmap: CharacteristicMap) -> ShapleyReport:
     """Exact Shapley value by subset enumeration.
 
@@ -75,56 +86,51 @@ def shapley(cmap: CharacteristicMap) -> ShapleyReport:
     Additivity (shares sum to v(N)) holds by construction up to round-off.
     """
     players = cmap.players
-    n = len(players)
-    fact = [math.factorial(i) for i in range(n + 1)]
-    shares = {}
-    for j in players:
-        rest = [q for q in players if q != j]
-        total = 0.0
-        for size in range(n):
-            w = fact[size] * fact[n - size - 1] / fact[n]
-            for s in combinations(rest, size):
-                s = frozenset(s)
-                total += w * (cmap.values[s | {j}] - cmap.values[s])
-        shares[j] = total
-    return ShapleyReport(target=cmap.target, shares=shares, grand_value=cmap.grand_value)
+    members = coalition_masks(len(players))
+    values = np.array([
+        cmap.values[frozenset(j for j, m in zip(players, row) if m)] for row in members
+    ])
+    shares = _shapley_shares(values, len(players))
+    return ShapleyReport(
+        target=cmap.target,
+        shares={j: float(s) for j, s in zip(players, shares)},
+        grand_value=cmap.grand_value,
+    )
+
+
+def _delta_values(engine: CoRiskEngine, target: int, measure: str, tau1: float,
+                  tau2: float) -> np.ndarray:
+    """T x 2^(p-1) Delta measure of target for every coalition of the others.
+
+    Column m is the coalition of the set bits of m over the other series in
+    ascending order; column 0, the baseline, is exactly 0.
+    """
+    n = engine.dim - 1
+    if n > MAX_PLAYERS:
+        raise ValueError(
+            f"{n} contributors exceed the exact-enumeration guard of {MAX_PLAYERS}"
+        )
+    values = engine.coalition_values(target, measure, tau1, tau2, coalition_masks(n))
+    return values - values[:, :1]
 
 
 def characteristic_values(mix: PredictiveMixture, target: int, measure: str = "covar",
                           tau1: float = 0.05, tau2: float = 0.05) -> CharacteristicMap:
     """Delta measure of the target for every distress coalition of the others.
 
-    Marginal conditioning levels and the all-at-median baseline are
-    computed once and shared across coalitions.  Any failure aborts the
-    whole map; partial maps are invalid.
+    All coalitions, the all-at-median baseline among them, are evaluated as
+    one batch on the same marginal conditioning levels.  Any failure aborts
+    the whole map; partial maps are invalid.
     """
-    if measure not in ("covar", "coes"):
+    if measure not in MEASURES:
         raise ValueError("measure must be 'covar' or 'coes'")
-    p = mix.dim
-    players = tuple(j for j in range(p) if j != target)
-    if len(players) > MAX_PLAYERS:
-        raise ValueError(
-            f"{len(players)} contributors exceed the exact-enumeration guard "
-            f"of {MAX_PLAYERS}"
-        )
-    level_fn = marginal_var if measure == "covar" else marginal_es
-    distress_level = {j: level_fn(mix, j, tau2) for j in players}
-    normal_level = {j: level_fn(mix, j, 0.5) for j in players}
-
-    def evaluate(coalition):
-        values = [
-            distress_level[j] if j in coalition else normal_level[j] for j in players
-        ]
-        weights, comps = conditional_mixture(mix, target, list(players), values)
-        if measure == "covar":
-            return mixture_quantile(weights, comps, tau1)
-        return mixture_es(weights, comps, tau1)
-
-    baseline = evaluate(frozenset())
-    values = {frozenset(): 0.0}
-    for size in range(1, len(players) + 1):
-        for s in combinations(players, size):
-            values[frozenset(s)] = evaluate(frozenset(s)) - baseline
+    engine = CoRiskEngine.from_mixture(mix)
+    delta = _delta_values(engine, target, measure, tau1, tau2)[0]
+    players = tuple(j for j in range(mix.dim) if j != target)
+    values = {
+        frozenset(j for j, m in zip(players, row) if m): float(v)
+        for row, v in zip(coalition_masks(len(players)), delta)
+    }
     return CharacteristicMap(target=target, players=players, values=values)
 
 
@@ -156,20 +162,19 @@ def attribution_series(fit: FitResult, measure: str = "covar", tau1: float = 0.0
     Emits one share series per (target, contributor) pair plus the
     grand-coalition Delta per target.
     """
-    p = fit.model.dim
-    t_len = fit.filtered.shape[0]
+    if measure not in MEASURES:
+        raise ValueError("measure must be 'covar' or 'coes'")
+    engine = CoRiskEngine.from_fit(fit, h, probs)
+    p = engine.dim
     targets = tuple(range(p)) if targets is None else tuple(targets)
-    shares = {
-        (i, j): np.empty(t_len) for i in targets for j in range(p) if j != i
-    }
-    grand = {i: np.empty(t_len) for i in targets}
-    for t in range(t_len):
-        mix = build_predictive(fit, t, h=h, probs=probs)
-        for i in targets:
-            report = shapley(characteristic_values(mix, i, measure, tau1, tau2))
-            grand[i][t] = report.grand_value
-            for j, share in report.shares.items():
-                shares[(i, j)][t] = share
+    shares, grand = {}, {}
+    for i in targets:
+        delta = _delta_values(engine, i, measure, tau1, tau2)
+        players = [j for j in range(p) if j != i]
+        by_player = _shapley_shares(delta, len(players))
+        grand[i] = delta[:, -1]
+        for k, j in enumerate(players):
+            shares[(i, j)] = by_player[:, k]
     return AttributionSeries(
         targets=targets, tau1=tau1, tau2=tau2, measure=measure,
         shares=shares, grand=grand,

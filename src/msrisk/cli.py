@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import attribution, corisk, markov, panel, simulate
 from .corisk import CSV_SCHEMA
-from .predictive import build_predictive
 from .studentt import MvtParams
 
 
@@ -246,27 +246,26 @@ def cmd_shapley(args) -> int:
     attribution.write_attribution_json(json_path, data.dates, data.names, series)
     written = [csv_path, json_path]
     if args.compare_standard:
-        pair_measure = args.measure
-        rows = []
-        p = data.n_series
-        for i in range(p):
-            for j in range(p):
-                if i == j:
-                    continue
-                pair_fit = markov.fit_restarts(
-                    data.select([i, j]), fit.model.n_states,
-                    n_restarts=3, seed=args.seed,
-                )
-                delta = corisk.standard_pairwise_delta(
-                    pair_fit, 0, measure=pair_measure,
+        # One bivariate fit per unordered pair; column 0 of pair (i, j) is
+        # series i, so target 0 gives i's Delta and target 1 gives j's.
+        deltas = {}
+        for i, j in itertools.combinations(range(data.n_series), 2):
+            pair_fit = markov.fit_restarts(
+                data.select([i, j]), fit.model.n_states,
+                n_restarts=3, seed=args.seed,
+            )
+            for target, pair in enumerate(((i, j), (j, i))):
+                deltas[pair] = corisk.standard_pairwise_delta(
+                    pair_fit, target, measure=args.measure,
                     tau1=args.tau1, tau2=args.tau2,
                     h=args.horizon, probs=args.probs,
                 )
-                for t, d in enumerate(data.dates):
-                    rows.append(
-                        (d.isoformat(), data.names[i], data.names[j],
-                         pair_measure, repr(float(delta[t])))
-                    )
+        rows = [
+            (d.isoformat(), data.names[i], data.names[j], args.measure,
+             repr(float(deltas[i, j][t])))
+            for i, j in sorted(deltas)
+            for t, d in enumerate(data.dates)
+        ]
         std_path = outdir / "standard_delta.csv"
         _write_csv(
             std_path, ["date", "target", "conditioner", "measure", "delta"], rows

@@ -10,29 +10,39 @@ Conditioning is point conditioning (a density slice).  Per mixture
 component the exact conditional Student-t is used and the component
 weights are reweighted by each component's marginal density at the
 conditioning vector, handled in log space.
+
+Every measure is evaluated by CoRiskEngine, which batches the work over
+dates, series, levels and distress coalitions; the single-mixture
+functions are its T=1 case.  conditional_mixture is the general
+single-point path for arbitrary conditioning sets.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.special import logsumexp
 
 from .markov import FitResult, MsTModel
-from .predictive import PredictiveMixture, build_predictive
+from .predictive import PredictiveMixture, predictive_weight_path
 from .studentt import (
+    batched_mixture_quantile,
+    batched_mixture_truncated_mean,
     condition_mvt,
     marginal_mvt,
-    mixture_es,
-    mixture_quantile,
-    mixture_truncated_mean,
     mvt_logpdf,
     univariate,
 )
 
 CSV_SCHEMA = "# schema: msrisk/1"
+MEASURES = ("covar", "coes")
+
+# (row, component) pairs held in memory at once by one coalition batch;
+# longer samples are evaluated in blocks of dates.
+ROW_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,20 +90,220 @@ def _check_index(mix: PredictiveMixture, i: int) -> None:
         raise IndexError(f"series index {i} outside dimension {mix.dim}")
 
 
-def _marginal_components(mix: PredictiveMixture, i: int):
-    return [univariate(marginal_mvt(c, [i])) for c in mix.components]
+def _check_tau(tau) -> None:
+    if not 0.0 < tau < 1.0:
+        raise ValueError("tau must lie strictly in (0, 1)")
+
+
+def coalition_masks(n: int) -> np.ndarray:
+    """Every subset of n players as a (2^n, n) boolean array.
+
+    Row m holds the subset whose members are the set bits of m, so row 0 is
+    the empty coalition and the last row the grand coalition.
+    """
+    return (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Per-regime quantities for conditioning one target on all other series."""
+
+    others: list       # conditioning series, ascending
+    mu_cond: np.ndarray    # L x d   their locations
+    mu_target: np.ndarray  # L       target location
+    chol: np.ndarray       # L x d x d  lower Cholesky factor of S22
+    reg: np.ndarray        # L x d   regression row S12 S22^{-1}
+    schur: np.ndarray      # L       S11 - S12 S22^{-1} S21
+    log_const: np.ndarray  # L       log-density constant of the d-variate marginal
+
+
+class CoRiskEngine:
+    """Co-risk measures of T predictive mixtures that share their components.
+
+    The mixtures differ only in their weights (T x L); the components are
+    the regime emissions.  Marginal VaR/ES levels are solved once per
+    (kind, tau) for every date and series as one batched root and cached,
+    so the distress and the baseline rows of a Delta read the same level
+    array.  Conditioning is always on every series but the target, so per
+    target the regression row, Schur complement and Cholesky factor of the
+    conditioning block are computed once and a conditioning vector costs one
+    Mahalanobis term per component.
+    """
+
+    def __init__(self, weights, components):
+        self.weights = np.atleast_2d(np.asarray(weights, dtype=float))
+        if self.weights.ndim != 2 or self.weights.shape[1] != len(components):
+            raise ValueError("weights must be T x L with one column per component")
+        self.mu = np.array([c.mu for c in components])
+        self.sigma = np.array([c.sigma for c in components])
+        self.nu = np.array([c.nu for c in components])
+        self.sd = np.sqrt(np.diagonal(self.sigma, axis1=1, axis2=2))
+        with np.errstate(divide="ignore"):
+            self.log_weights = np.log(self.weights)
+        self._levels = {}
+        self._blocks = {}
+
+    @classmethod
+    def from_fit(cls, fit: FitResult, h: int = 1, probs: str = "filtered"):
+        """Engine over the h-step predictive mixture at every in-sample date."""
+        return cls(predictive_weight_path(fit, h, probs), fit.model.regimes)
+
+    @classmethod
+    def from_mixture(cls, mix: PredictiveMixture):
+        """Engine over a single predictive mixture (T = 1)."""
+        return cls(mix.weights, mix.components)
+
+    @property
+    def dim(self) -> int:
+        return self.mu.shape[1]
+
+    def solve_levels(self, taus) -> None:
+        """Marginal VaR of every date and series at each uncached tau, in one root solve."""
+        for tau in taus:
+            _check_tau(tau)
+        new = sorted({float(t) for t in taus} - {t for k, t in self._levels if k == "var"})
+        if not new:
+            return
+        q = batched_mixture_quantile(
+            self.weights[:, None, None, :], self.mu.T[None, :, None, :],
+            self.sd.T[None, :, None, :], self.nu, np.array(new),
+        )
+        for k, tau in enumerate(new):
+            self._levels["var", tau] = q[:, :, k]
+
+    def level(self, kind: str, tau: float) -> np.ndarray:
+        """T x p marginal VaR ('var') or ES ('es') levels at tau."""
+        if kind not in ("var", "es"):
+            raise ValueError("level kind must be 'var' or 'es'")
+        key = (kind, float(tau))
+        if key not in self._levels:
+            self.solve_levels([tau])
+            if kind == "es":
+                self._levels[key] = batched_mixture_truncated_mean(
+                    self.weights[:, None, :], self.mu.T, self.sd.T, self.nu,
+                    self._levels["var", key[1]],
+                )
+        return self._levels[key]
+
+    def _block(self, target: int) -> _Block:
+        if target not in self._blocks:
+            others = [j for j in range(self.dim) if j != target]
+            d = len(others)
+            s22 = self.sigma[:, others][:, :, others]
+            s21 = self.sigma[:, others, target]
+            chol = np.linalg.cholesky(s22)
+            reg = np.linalg.solve(s22, s21[..., None])[..., 0]
+            logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+            nu = self.nu
+            self._blocks[target] = _Block(
+                others=others,
+                mu_cond=self.mu[:, others],
+                mu_target=self.mu[:, target],
+                chol=chol,
+                reg=reg,
+                schur=self.sigma[:, target, target] - np.sum(reg * s21, axis=1),
+                log_const=(
+                    np.log(special.poch(0.5 * nu, 0.5 * d))
+                    - 0.5 * d * np.log(nu * np.pi) - 0.5 * logdet
+                ),
+            )
+        return self._blocks[target]
+
+    def _conditional(self, blk: _Block, x):
+        """Target's conditional components at conditioning vectors x (..., d).
+
+        Returns each component's marginal log-density at x and its
+        conditional location and scale, each (..., L); the conditional
+        degrees of freedom are nu + d.
+        """
+        d = len(blk.others)
+        dev = [x[..., k, None] - blk.mu_cond[:, k] for k in range(d)]
+        z = []
+        for r in range(d):
+            acc = dev[r]
+            for k in range(r):
+                acc = acc - blk.chol[:, r, k] * z[k]
+            z.append(acc / blk.chol[:, r, r])
+        maha = sum(zk * zk for zk in z)
+        loc = blk.mu_target + sum(blk.reg[:, k] * dev[k] for k in range(d))
+        scale = np.sqrt((self.nu + maha) / (self.nu + d) * blk.schur)
+        log_dens = blk.log_const - 0.5 * (self.nu + d) * np.log1p(maha / self.nu)
+        return log_dens, loc, scale
+
+    def coalition_values(self, target: int, measure: str, tau1: float, tau2: float,
+                         coalitions, threshold: str = "conditional") -> np.ndarray:
+        """Multiple-CoVaR or -CoES of target for each distress coalition and date.
+
+        coalitions is a (C, p - 1) boolean array over the other series in
+        ascending order: a member sits at its tau2 level, a non-member at
+        its 0.5 level (VaR levels for 'covar', ES levels for 'coes').
+        threshold is the CoES truncation point: the conditional law's own
+        tau1-quantile ('conditional') or the target's marginal VaR at tau1
+        ('unconditional').  Returns a T x C array.
+        """
+        if measure not in MEASURES:
+            raise ValueError("measure must be 'covar' or 'coes'")
+        if threshold not in ("conditional", "unconditional"):
+            raise ValueError("threshold must be 'conditional' or 'unconditional'")
+        if not 0 <= target < self.dim:
+            raise IndexError(f"series index {target} outside dimension {self.dim}")
+        if self.dim < 2:
+            raise ValueError("co-risk measures need at least two series")
+        self.solve_levels((tau1, tau2, 0.5))
+        kind = "var" if measure == "covar" else "es"
+        blk = self._block(target)
+        distress = self.level(kind, tau2)[:, blk.others]
+        normal = self.level(kind, 0.5)[:, blk.others]
+        cutoff = self.level("var", tau1)[:, target]
+        masks = np.asarray(coalitions, dtype=bool)
+        t_len, n_comp = self.weights.shape
+        out = np.empty((t_len, masks.shape[0]))
+        step = max(1, ROW_BUDGET // (masks.shape[0] * n_comp))
+        for lo in range(0, t_len, step):
+            dates = slice(lo, lo + step)
+            x = np.where(masks, distress[dates, None, :], normal[dates, None, :])
+            log_dens, loc, scale = self._conditional(blk, x)
+            log_w = self.log_weights[dates, None, :] + log_dens
+            w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+            w /= w.sum(axis=-1, keepdims=True)
+            nu = self.nu + len(blk.others)
+            if measure == "covar":
+                out[dates] = batched_mixture_quantile(w, loc, scale, nu, tau1)
+                continue
+            if threshold == "conditional":
+                cut = batched_mixture_quantile(w, loc, scale, nu, tau1)
+            else:
+                cut = cutoff[dates, None]
+            out[dates] = batched_mixture_truncated_mean(w, loc, scale, nu, cut)
+        return out
+
+
+def _query_values(mix: PredictiveMixture, q: RiskQuery, measure: str, baseline: bool,
+                  threshold: str = "conditional") -> np.ndarray:
+    """Measure at the query's distress set and, with baseline, at the empty set."""
+    for j in (q.target, *q.distress):
+        _check_index(mix, j)
+    mask = [[j in q.distress for j in range(mix.dim) if j != q.target]]
+    if baseline:
+        if not q.distress:
+            raise ValueError("Delta measures need a nonempty distress set")
+        mask.append([False] * len(mask[0]))
+    engine = CoRiskEngine.from_mixture(mix)
+    return engine.coalition_values(
+        q.target, measure, q.tau1, q.tau2, mask, threshold=threshold
+    )[0]
 
 
 def marginal_var(mix: PredictiveMixture, i: int, tau: float) -> float:
     """tau-quantile of the i-th marginal of the predictive mixture."""
     _check_index(mix, i)
-    return mixture_quantile(mix.weights, _marginal_components(mix, i), tau)
+    return float(CoRiskEngine.from_mixture(mix).level("var", tau)[0, i])
 
 
 def marginal_es(mix: PredictiveMixture, i: int, tau: float) -> float:
     """tau-level Expected Shortfall of the i-th marginal."""
     _check_index(mix, i)
-    return mixture_es(mix.weights, _marginal_components(mix, i), tau)
+    return float(CoRiskEngine.from_mixture(mix).level("es", tau)[0, i])
 
 
 def conditional_mixture(mix: PredictiveMixture, target: int, cond_idx, cond_values):
@@ -123,26 +333,13 @@ def conditional_mixture(mix: PredictiveMixture, target: int, cond_idx, cond_valu
     return weights, comps
 
 
-def _conditioning(mix: PredictiveMixture, q: RiskQuery, level_fn):
-    """Conditioning coordinates and levels for a query.
-
-    Distress coordinates sit at their individual tau2 level and the rest at
-    their 0.5 ("normal") level, both computed from the full predictive
-    marginal via level_fn (marginal_var for CoVaR, marginal_es for CoES).
-    """
-    cond_idx = [j for j in range(mix.dim) if j != q.target]
-    distress = set(q.distress)
-    values = [
-        level_fn(mix, j, q.tau2 if j in distress else 0.5) for j in cond_idx
-    ]
-    return cond_idx, np.array(values)
-
-
 def multiple_covar(mix: PredictiveMixture, q: RiskQuery) -> float:
-    """Multiple-CoVaR: tau1-quantile of the target given the conditioning slice."""
-    cond_idx, values = _conditioning(mix, q, marginal_var)
-    weights, comps = conditional_mixture(mix, q.target, cond_idx, values)
-    return mixture_quantile(weights, comps, q.tau1)
+    """Multiple-CoVaR: tau1-quantile of the target given the conditioning slice.
+
+    Distress coordinates sit at their individual tau2 VaR and the rest at
+    their median, both from the full predictive marginal.
+    """
+    return float(_query_values(mix, q, "covar", baseline=False)[0])
 
 
 def multiple_coes(mix: PredictiveMixture, q: RiskQuery, threshold: str = "conditional") -> float:
@@ -154,29 +351,19 @@ def multiple_coes(mix: PredictiveMixture, q: RiskQuery, threshold: str = "condit
     tau1-quantile; 'unconditional' truncates at the target's unconditional
     marginal VaR_tau1.
     """
-    cond_idx, values = _conditioning(mix, q, marginal_es)
-    weights, comps = conditional_mixture(mix, q.target, cond_idx, values)
-    if threshold == "conditional":
-        return mixture_es(weights, comps, q.tau1)
-    if threshold == "unconditional":
-        cutoff = marginal_var(mix, q.target, q.tau1)
-        return mixture_truncated_mean(weights, comps, cutoff)
-    raise ValueError("threshold must be 'conditional' or 'unconditional'")
+    return float(_query_values(mix, q, "coes", baseline=False, threshold=threshold)[0])
 
 
 def delta_m_covar(mix: PredictiveMixture, q: RiskQuery) -> float:
     """Multiple-Delta-CoVaR: distress measure minus the all-at-median baseline."""
-    if not q.distress:
-        raise ValueError("Delta measures need a nonempty distress set")
-    return multiple_covar(mix, q) - multiple_covar(mix, replace(q, distress=()))
+    values = _query_values(mix, q, "covar", baseline=True)
+    return float(values[0] - values[1])
 
 
 def delta_m_coes(mix: PredictiveMixture, q: RiskQuery, threshold: str = "conditional") -> float:
     """Multiple-Delta-CoES: distress measure minus the all-at-median-ES baseline."""
-    if not q.distress:
-        raise ValueError("Delta measures need a nonempty distress set")
-    base = multiple_coes(mix, replace(q, distress=()), threshold=threshold)
-    return multiple_coes(mix, q, threshold=threshold) - base
+    values = _query_values(mix, q, "coes", baseline=True, threshold=threshold)
+    return float(values[0] - values[1])
 
 
 def total_risk_series(fit: FitResult, measure: str = "both", tau1: float = 0.05,
@@ -190,42 +377,26 @@ def total_risk_series(fit: FitResult, measure: str = "both", tau1: float = 0.05,
     """
     if measure not in ("covar", "coes", "both"):
         raise ValueError("measure must be 'covar', 'coes' or 'both'")
-    t_len = fit.filtered.shape[0]
-    p = fit.model.dim
+    engine = CoRiskEngine.from_fit(fit, h, probs)
+    engine.solve_levels((tau1, tau2, 0.5))
+    p = engine.dim
+    # grand coalition and the all-at-median baseline
+    masks = np.array([[True] * (p - 1), [False] * (p - 1)])
     out = []
     for i in range(p):
-        others = tuple(j for j in range(p) if j != i)
         series = RiskSeries(
             target=i,
-            distress=others,
+            distress=tuple(j for j in range(p) if j != i),
             tau1=tau1,
             tau2=tau2,
-            var=np.empty(t_len),
-            es=np.empty(t_len),
+            var=engine.level("var", tau1)[:, i].copy(),
+            es=engine.level("es", tau1)[:, i].copy(),
         )
-        do_covar = measure in ("covar", "both")
-        do_coes = measure in ("coes", "both")
-        if do_covar:
-            series.covar = np.empty(t_len)
-            series.delta_covar = np.empty(t_len)
-        if do_coes:
-            series.coes = np.empty(t_len)
-            series.delta_coes = np.empty(t_len)
-        query = RiskQuery(target=i, distress=others, tau1=tau1, tau2=tau2)
-        for t in range(t_len):
-            mix = build_predictive(fit, t, h=h, probs=probs)
-            series.var[t] = marginal_var(mix, i, tau1)
-            series.es[t] = marginal_es(mix, i, tau1)
-            if do_covar:
-                series.covar[t] = multiple_covar(mix, query)
-                series.delta_covar[t] = series.covar[t] - multiple_covar(
-                    mix, replace(query, distress=())
-                )
-            if do_coes:
-                series.coes[t] = multiple_coes(mix, query)
-                series.delta_coes[t] = series.coes[t] - multiple_coes(
-                    mix, replace(query, distress=())
-                )
+        for family in MEASURES:
+            if measure in (family, "both"):
+                values = engine.coalition_values(i, family, tau1, tau2, masks)
+                setattr(series, family, values[:, 0])
+                setattr(series, "delta_" + family, values[:, 0] - values[:, 1])
         out.append(series)
     return out
 
@@ -267,16 +438,11 @@ def standard_pairwise_delta(fit_bivariate: FitResult, target: int, measure: str 
         raise ValueError("standard pairwise Delta needs a bivariate model")
     if target not in (0, 1):
         raise ValueError("target must be 0 or 1")
-    if measure not in ("covar", "coes"):
+    if measure not in MEASURES:
         raise ValueError("measure must be 'covar' or 'coes'")
-    delta_fn = delta_m_covar if measure == "covar" else delta_m_coes
-    query = RiskQuery(target=target, distress=(1 - target,), tau1=tau1, tau2=tau2)
-    t_len = fit_bivariate.filtered.shape[0]
-    out = np.empty(t_len)
-    for t in range(t_len):
-        mix = build_predictive(fit_bivariate, t, h=h, probs=probs)
-        out[t] = delta_fn(mix, query)
-    return out
+    engine = CoRiskEngine.from_fit(fit_bivariate, h, probs)
+    values = engine.coalition_values(target, measure, tau1, tau2, [[True], [False]])
+    return values[:, 0] - values[:, 1]
 
 
 def write_risk_csv(path, dates, names, series_list, measure: str = "both") -> None:

@@ -102,8 +102,19 @@ class SelectionTable:
 
 
 def _observations(panel) -> np.ndarray:
-    y = panel.returns if isinstance(panel, ReturnPanel) else np.asarray(panel, float)
-    return np.atleast_2d(y)
+    """T x p observations of a ReturnPanel (validated on construction) or a raw array."""
+    if isinstance(panel, ReturnPanel):
+        return panel.returns
+    y = np.asarray(panel, dtype=float)
+    if y.ndim != 2:
+        raise ValueError(f"observations must be a T x p array, got shape {y.shape}")
+    bad = np.argwhere(~np.isfinite(y))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(
+            f"observations must be finite: {y[row, col]!r} at row {row}, column {col}"
+        )
+    return y
 
 
 def _log_emissions(model: MsTModel, y: np.ndarray) -> np.ndarray:

@@ -47,16 +47,29 @@ def predictive_weights(filtered_t, transition, h: int) -> np.ndarray:
 
     With rows of the transition matrix indexing the from-state this is
     filtered_t @ transition^h; the matrix power uses repeated squaring.
+    filtered_t may also be a T x L array of probability rows, which are
+    propagated independently.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
     pi = np.atleast_1d(np.asarray(filtered_t, dtype=float))
     q = np.atleast_2d(np.asarray(transition, dtype=float))
-    if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > 1e-10:
+    if np.any(pi < 0.0) or np.any(np.abs(pi.sum(axis=-1) - 1.0) > 1e-10):
         raise ValueError("filtered probabilities must lie on the simplex")
     w = pi @ np.linalg.matrix_power(q, h)
     w = np.clip(w, 0.0, None)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _state_probs(fit: FitResult, probs: str) -> np.ndarray:
+    if probs not in ("filtered", "smoothed"):
+        raise ValueError("probs must be 'filtered' or 'smoothed'")
+    return fit.filtered if probs == "filtered" else fit.smoothed
+
+
+def predictive_weight_path(fit: FitResult, h: int = 1, probs: str = "filtered") -> np.ndarray:
+    """T x L predictive mixture weights at every in-sample time index."""
+    return predictive_weights(_state_probs(fit, probs), fit.model.transition, h)
 
 
 def build_predictive(fit: FitResult, t: int, h: int = 1, probs: str = "filtered") -> PredictiveMixture:
@@ -66,9 +79,7 @@ def build_predictive(fit: FitResult, t: int, h: int = 1, probs: str = "filtered"
     point: 'filtered' conditions on I_t (the definitional choice);
     'smoothed' is exposed for full-sample reproduction studies.
     """
-    if probs not in ("filtered", "smoothed"):
-        raise ValueError("probs must be 'filtered' or 'smoothed'")
-    source = fit.filtered if probs == "filtered" else fit.smoothed
+    source = _state_probs(fit, probs)
     if not 0 <= t < source.shape[0]:
         raise IndexError(f"time index {t} outside sample of length {source.shape[0]}")
     weights = predictive_weights(source[t], fit.model.transition, h)

@@ -3,22 +3,19 @@
 Log-densities, tail probabilities, quantiles, Expected Shortfall and exact
 conditional/marginal distributions, plus quantile and ES computation for
 finite mixtures of univariate t components.  All density work is done in
-log space with Cholesky-based quadratic forms.
+log space with Cholesky-based quadratic forms.  The mixture kernels are
+batched, one mixture per row; the scalar mixture functions validate their
+input and call them with a single row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy import linalg, optimize, special, stats
+from scipy import linalg, special
 
-
-class BracketingError(RuntimeError):
-    """The mixture quantile root could not be bracketed.
-
-    Signals pathological parameters (e.g. absurd scales or weights)."""
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -96,11 +93,26 @@ def mvt_logpdf(x, p: MvtParams):
     return const - 0.5 * (nu + k) * np.log1p(maha / nu)
 
 
+def _t_log_norm(nu):
+    """Log normalizing constant of the standardized univariate Student-t.
+
+    The ratio Gamma((nu + 1)/2) / Gamma(nu/2) is taken as a Pochhammer
+    symbol, which stays accurate for very large nu where a difference of two
+    gammaln values loses every digit.
+    """
+    return np.log(special.poch(0.5 * nu, 0.5)) - 0.5 * np.log(nu * np.pi)
+
+
+def _t_logpdf(z, nu):
+    """Log-density of the standardized univariate Student-t."""
+    return _t_log_norm(nu) - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
+
+
 def t_cdf(z, nu):
     """CDF of the standardized univariate Student-t."""
     if np.any(np.asarray(nu) <= 0):
         raise ValueError("nu must be positive")
-    return stats.t.cdf(z, df=nu)
+    return special.stdtr(nu, z)
 
 
 def t_quantile(tau, nu):
@@ -110,7 +122,7 @@ def t_quantile(tau, nu):
         raise ValueError("tau must lie strictly in (0, 1)")
     if np.any(np.asarray(nu) <= 0):
         raise ValueError("nu must be positive")
-    q = stats.t.ppf(tau, df=nu)
+    q = np.asarray(special.stdtrit(nu, tau))
     return float(q) if q.ndim == 0 else q
 
 
@@ -122,7 +134,7 @@ def t_lower_partial(z, nu):
     if np.any(np.asarray(nu) <= 1.0):
         raise ValueError("partial expectation requires nu > 1")
     z = np.asarray(z, dtype=float)
-    return -stats.t.pdf(z, df=nu) * (nu + z * z) / (nu - 1.0)
+    return -np.exp(_t_logpdf(z, nu)) * (nu + z * z) / (nu - 1.0)
 
 
 def t_es(tau, nu):
@@ -209,36 +221,108 @@ def _mixture_arrays(weights, comps):
     return w, mus, sigmas, nus
 
 
+def _rows(weights, mu, scale, nu, point):
+    """Broadcast (..., L) component arrays and a (...) point to flat rows.
+
+    Returns the batch shape, the four (n, L) arrays and the (n,) points.
+    """
+    shape = np.broadcast_shapes(
+        np.shape(weights), np.shape(mu), np.shape(scale), np.shape(nu),
+        np.shape(point) + (1,),
+    )
+    n, L = int(np.prod(shape[:-1])), shape[-1]
+    arrays = [
+        np.broadcast_to(np.asarray(a, dtype=float), shape).reshape(n, L)
+        for a in (weights, mu, scale, nu)
+    ]
+    point = np.broadcast_to(np.asarray(point, dtype=float), shape[:-1]).reshape(n)
+    return shape[:-1], arrays, point
+
+
+# A row converges within about ten steps; bisection alone halves the bracket
+# every step, so this bound is never reached on valid input.
+_MAX_STEPS = 200
+
+
+def batched_mixture_quantile(weights, mu, scale, nu, tau):
+    """tau-quantiles of univariate t mixtures, one per row of (..., L) arrays.
+
+    Inputs broadcast against each other (tau against the leading axes) and
+    are not validated: weights on the simplex, positive scales and degrees
+    of freedom, tau in (0, 1).  The root of sum_l w_l F_l((x - mu_l)/s_l)
+    = tau lies between the smallest and the largest component tau-quantile
+    among components of positive weight, since every component CDF is at
+    most tau at the former and at least tau at the latter.  Safeguarded
+    Newton steps on that bracket fall back to bisection whenever a step
+    leaves it or fails to halve the previous step.  Rows never mix, so equal
+    rows give equal quantiles.
+    """
+    shape, (w, mu, s, nu), tau = _rows(weights, mu, scale, nu, tau)
+    comp_q = mu + s * special.stdtrit(nu, tau[:, None])
+    live = w > 0.0
+    a = np.min(np.where(live, comp_q, np.inf), axis=1)
+    b = np.max(np.where(live, comp_q, -np.inf), axis=1)
+    x = np.clip(np.sum(w * comp_q, axis=1), a, b)
+    log_c = _t_log_norm(nu) - np.log(s)
+    s_min = np.min(s, axis=1)
+    last = b - a
+    rows = np.flatnonzero(a < b)
+    for _ in range(_MAX_STEPS):
+        if rows.size == 0:
+            return x.reshape(shape)
+        wr, mr, sr, nr = w[rows], mu[rows], s[rows], nu[rows]
+        xr = x[rows]
+        z = (xr[:, None] - mr) / sr
+        g = np.sum(wr * special.stdtr(nr, z), axis=1) - tau[rows]
+        dens = np.sum(
+            wr * np.exp(log_c[rows] - 0.5 * (nr + 1.0) * np.log1p(z * z / nr)), axis=1
+        )
+        ar = np.where(g < 0.0, xr, a[rows])
+        br = np.where(g > 0.0, xr, b[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / dens
+            new = xr - step
+        tol = 4.0 * EPS * (np.abs(xr) + s_min[rows])
+        done = (g == 0.0) | (np.abs(step) <= tol)
+        newton = done | (new > ar) & (new < br) & (np.abs(step) <= 0.5 * last[rows])
+        new = np.where(newton, new, ar + 0.5 * (br - ar))
+        a[rows], b[rows], x[rows], last[rows] = ar, br, new, np.abs(new - xr)
+        rows = rows[~done & (br - ar > tol)]
+    raise RuntimeError(f"mixture quantile: {rows.size} rows did not converge")
+
+
+def batched_mixture_truncated_mean(weights, mu, scale, nu, cutoff):
+    """E[X | X <= cutoff] of univariate t mixtures, one per row of (..., L) arrays.
+
+    Broadcasting and validation as in batched_mixture_quantile, plus every
+    nu > 1.  Raises ValueError when some row has no mass below its cutoff.
+    """
+    shape, (w, mu, s, nu), cutoff = _rows(weights, mu, scale, nu, cutoff)
+    z = (cutoff[:, None] - mu) / s
+    cdf = special.stdtr(nu, z)
+    mass = np.sum(w * cdf, axis=1)
+    if np.any(mass <= 0.0):
+        raise ValueError("no probability mass below the cutoff")
+    partial = mu * cdf + s * t_lower_partial(z, nu)
+    return (np.sum(w * partial, axis=1) / mass).reshape(shape)
+
+
 def mixture_cdf(x, weights, comps):
     """CDF of a finite mixture of univariate t components at x."""
     w, mus, sigmas, nus = _mixture_arrays(weights, comps)
-    return float(np.sum(w * stats.t.cdf((x - mus) / sigmas, df=nus)))
+    return float(np.sum(w * special.stdtr(nus, (x - mus) / sigmas)))
 
 
 def mixture_quantile(weights, comps, tau) -> float:
     """tau-quantile of a finite mixture of univariate t components.
 
-    Solves sum_l w_l F_l((x - mu_l)/sigma_l) = tau by bracketed root search.
+    Solves sum_l w_l F_l((x - mu_l)/sigma_l) = tau (see
+    batched_mixture_quantile).
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie strictly in (0, 1)")
     w, mus, sigmas, nus = _mixture_arrays(weights, comps)
-
-    def f(x):
-        return float(np.sum(w * stats.t.cdf((x - mus) / sigmas, df=nus))) - tau
-
-    # Heavy-tail-aware bracket: +-50 max-scale units scaled by the worst
-    # component's tau-quantile magnitude, expanded geometrically on failure.
-    tail = min(tau, 1.0 - tau)
-    unit = max(1.0, abs(float(stats.t.ppf(tail, df=nus.min()))))
-    half = 50.0 * max(sigmas.max(), 1e-300) * unit
-    lo, hi = mus.min() - half, mus.max() + half
-    for _ in range(60):
-        if f(lo) < 0.0 < f(hi):
-            return float(optimize.brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16))
-        half *= 4.0
-        lo, hi = mus.min() - half, mus.max() + half
-    raise BracketingError("failed to bracket the mixture quantile")
+    return float(batched_mixture_quantile(w, mus, sigmas, nus, tau))
 
 
 def mixture_truncated_mean(weights, comps, cutoff) -> float:
@@ -250,12 +334,7 @@ def mixture_truncated_mean(weights, comps, cutoff) -> float:
     w, mus, sigmas, nus = _mixture_arrays(weights, comps)
     if np.any(nus <= 1.0):
         raise ValueError("truncated mean requires every component nu > 1")
-    z = (cutoff - mus) / sigmas
-    partial = mus * stats.t.cdf(z, df=nus) + sigmas * t_lower_partial(z, nus)
-    mass = float(np.sum(w * stats.t.cdf(z, df=nus)))
-    if mass <= 0.0:
-        raise ValueError("no probability mass below the cutoff")
-    return float(np.sum(w * partial) / mass)
+    return float(batched_mixture_truncated_mean(w, mus, sigmas, nus, cutoff))
 
 
 def mixture_es(weights, comps, tau) -> float:

@@ -177,6 +177,34 @@ class TestShapley:
         # 2 ordered pairs x 120 dates.
         assert len(rows) == 2 * 120
 
+    def test_compare_standard_fits_each_pair_once(self, sim3_dir, tmp_path, monkeypatch):
+        from msrisk import markov
+
+        calls = []
+        original = markov.fit_restarts
+
+        def counting(panel, *args, **kwargs):
+            calls.append(tuple(panel.names))
+            return original(panel, *args, **kwargs)
+
+        monkeypatch.setattr(markov, "fit_restarts", counting)
+        code = main(
+            ["shapley", "--input", str(sim3_dir / "panel.csv"),
+             "--model", str(sim3_dir / "truth_model.json"),
+             "--compare-standard", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        p = 3
+        assert len(calls) == p * (p - 1) // 2
+        assert len(set(calls)) == len(calls)
+        rows = read_rows(tmp_path / "standard_delta.csv")
+        # every ordered (target, conditioner) pair x 40 dates
+        assert len(rows) == p * (p - 1) * 40
+        names = {name for pair in calls for name in pair}
+        assert {(r["target"], r["conditioner"]) for r in rows} == {
+            (a, b) for a in names for b in names if a != b
+        }
+
 
 class TestConfig:
     def test_config_file_fills_defaults(self, sim_dir, tmp_path):

@@ -204,6 +204,36 @@ class TestEmFit:
             em_fit(panel, 2, tol=-1.0)
 
 
+class TestRawArrayValidation:
+    """Raw arrays skip ReturnPanel, so the markov entry points check them."""
+
+    def entry_points(self):
+        model = random_model(np.random.default_rng(107), 2, 2)
+        return [
+            lambda y: em_fit(y, 2),
+            lambda y: forward_loglik(model, y),
+            lambda y: smooth(model, y),
+        ]
+
+    def test_non_finite_cell_named(self):
+        y = np.random.default_rng(108).normal(size=(60, 2))
+        y[17, 1] = np.nan
+        for call in self.entry_points():
+            with pytest.raises(ValueError, match="row 17, column 1"):
+                call(y)
+        y[17, 1] = np.inf
+        y[3, 0] = -np.inf
+        for call in self.entry_points():
+            with pytest.raises(ValueError, match="finite.*row 3, column 0"):
+                call(y)
+
+    def test_non_2d_rejected(self):
+        for bad in (np.zeros(60), np.zeros((60, 2, 1))):
+            for call in self.entry_points():
+                with pytest.raises(ValueError, match="T x p"):
+                    call(bad)
+
+
 class TestFitRestarts:
     def test_single_restart_is_em_fit(self):
         panel = simulated_panel(300, seed=106)
