@@ -34,6 +34,7 @@ from .markov import (
     SelectionTable,
     decompose_sigma,
     em_fit,
+    fit_from_model,
     fit_restarts,
     forward_loglik,
     information_criteria,

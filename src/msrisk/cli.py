@@ -211,12 +211,7 @@ def _fit_from_model_file(args, data):
         raise SystemExit(
             f"model dimension {model.dim} != panel dimension {data.n_series}"
         )
-    smoothed, _, filtered = markov.smooth(model, data)
-    loglik = markov.forward_loglik(model, data)
-    return markov.FitResult(
-        model=model, loglik=loglik, iterations=0, converged=True,
-        smoothed=smoothed, filtered=filtered,
-    )
+    return markov.fit_from_model(model, data)
 
 
 def cmd_risk(args) -> int:

@@ -1,8 +1,8 @@
 """L-state multivariate Student-t Markov-switching model.
 
-Log-space forward-backward recursions, ECM estimation with per-observation
-gamma-scale weights, information-criterion state-count selection, and JSON
-serialization of fitted models.
+Forward-backward state inference by log-depth prefix-product scans, ECM
+estimation with per-observation gamma-scale weights, information-criterion
+state-count selection, and JSON serialization of fitted models.
 
 Transition-matrix orientation: rows index the from-state and columns the
 to-state, i.e. transition[i, j] = P(S_t = j | S_{t-1} = i).
@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize, special
-from scipy.special import logsumexp
 
 from .panel import ReturnPanel
-from .studentt import MvtParams, mvt_logpdf, mvt_mahalanobis
+from .studentt import MvtParams, _logpdf_from_mahalanobis, mvt_mahalanobis
 
 NU_MIN = 2.1
 NU_MAX = 200.0
@@ -27,6 +26,10 @@ NU_MAX = 200.0
 
 class RegimeCollapseError(RuntimeError):
     """A regime lost essentially all posterior mass during estimation."""
+
+
+class LikelihoodDecreaseError(RuntimeError):
+    """The EM log-likelihood fell between iterations by more than rounding slack."""
 
 
 @dataclass(frozen=True)
@@ -117,89 +120,90 @@ def _observations(panel) -> np.ndarray:
     return y
 
 
-def _log_emissions(model: MsTModel, y: np.ndarray) -> np.ndarray:
-    return np.column_stack([mvt_logpdf(y, r) for r in model.regimes])
-
-
-def _lse(v, axis):
-    """Inline log-sum-exp; cheaper than scipy's inside the T-step loops."""
-    m = np.max(v, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    return np.squeeze(m, axis=axis) + np.log(
-        np.sum(np.exp(v - m), axis=axis)
+def _log_emissions(model: MsTModel, y: np.ndarray):
+    """T x L log emission densities and the Mahalanobis forms behind them."""
+    maha = np.column_stack([mvt_mahalanobis(y, r) for r in model.regimes])
+    log_b = np.column_stack(
+        [_logpdf_from_mahalanobis(maha[:, l], r) for l, r in enumerate(model.regimes)]
     )
+    return log_b, maha
 
 
-def _forward(log_b, log_q, log_delta):
-    t_len, n = log_b.shape
-    log_alpha = np.empty((t_len, n))
-    log_alpha[0] = log_delta + log_b[0]
-    for t in range(1, t_len):
-        log_alpha[t] = log_b[t] + _lse(log_alpha[t - 1][:, None] + log_q, axis=0)
-    return log_alpha
+def _prefix_products(m):
+    """Inclusive prefix products m[0] @ m[1] @ ... @ m[t] of non-negative L x L matrices.
+
+    Hillis-Steele doubling: ceil(log2 T) batched matmuls over the T x L x L
+    stack.  Every product is divided by the sum of its entries and the log
+    of that sum is carried, so the true product is
+    products[t] * exp(log_scale[t]).  All entries are non-negative, so
+    nothing cancels and the relative error grows only with the depth.
+    """
+    t_len, n, _ = m.shape
+    ones = np.ones(n * n)
+    total = m.reshape(t_len, n * n) @ ones
+    prod = m / total[:, None, None]
+    log_scale = np.log(total)
+    d = 1
+    while d < t_len:
+        step = np.matmul(prod[:-d], prod[d:])
+        total = step.reshape(t_len - d, n * n) @ ones
+        prod[d:] = step / total[:, None, None]
+        log_scale[d:] = log_scale[:-d] + log_scale[d:] + np.log(total)
+        d *= 2
+    return prod, log_scale
 
 
-def _backward(log_b, log_q):
-    t_len, n = log_b.shape
-    log_beta = np.zeros((t_len, n))
-    for t in range(t_len - 2, -1, -1):
-        log_beta[t] = _lse(log_q + (log_b[t + 1] + log_beta[t + 1])[None, :], axis=1)
-    return log_beta
+def _filter(model: MsTModel, y: np.ndarray):
+    """Forward pass: (loglik, filtered, transfer stack, Mahalanobis forms).
 
-
-def forward_loglik(model: MsTModel, panel) -> float:
-    """Log-likelihood via the log-sum-exp stabilized forward recursion."""
-    y = _observations(panel)
-    if y.shape[1] != model.dim:
-        raise ValueError(f"panel dimension {y.shape[1]} != model dimension {model.dim}")
-    with np.errstate(divide="ignore"):
-        log_alpha = _forward(
-            _log_emissions(model, y),
-            np.log(model.transition),
-            np.log(model.initial),
-        )
-    return float(logsumexp(log_alpha[-1]))
+    With emissions shifted by their per-time maximum, b_t = exp(log b_t -
+    shift_t), the transfer stack holds m[0] = diag(delta * b_0) and
+    m[t] = Q diag(b_t).  The forward variable alpha_t is the column sum of
+    the prefix product m[0] @ ... @ m[t].
+    """
+    log_b, maha = _log_emissions(model, y)
+    shift = log_b.max(axis=1)
+    b = np.exp(log_b - shift[:, None])
+    m = model.transition[None, :, :] * b[:, None, :]
+    m[0] = np.diag(model.initial * b[0])
+    prod, log_scale = _prefix_products(m)
+    alpha = prod.sum(axis=1)
+    total = alpha.sum(axis=1)
+    loglik = float(np.log(total[-1]) + log_scale[-1] + shift.sum())
+    return loglik, alpha / total[:, None], m, maha
 
 
 def _e_step(model: MsTModel, y: np.ndarray):
-    """One forward-backward pass: (loglik, smoothed, pairwise, filtered).
+    """One forward-backward pass: (loglik, smoothed, pairwise, filtered, mahalanobis).
 
-    Underflow control: per-time max shift of the log emissions plus
-    per-step renormalization of the forward/backward variables (the
-    rescaled equivalent of the log-sum-exp recursion, but with cheap
-    small-matrix arithmetic in the T-loop).
+    Both directions are prefix-product scans (no loop over T).  The
+    backward variable beta_t = m[t+1] @ ... @ m[T-1] @ 1 is the column sum
+    of a prefix product of the reversed stack of transposes.  Smoothed and
+    pairwise posteriors are normalized per t, so the arbitrary scales of
+    alpha and beta cancel.  The T x L Mahalanobis forms feed the M-step.
     """
-    log_b = _log_emissions(model, y)
-    t_len, n = log_b.shape
-    shift = log_b.max(axis=1)
-    b = np.exp(log_b - shift[:, None])
-    q = model.transition
-
-    alpha = np.empty((t_len, n))
-    scale = np.empty(t_len)
-    a = model.initial * b[0]
-    scale[0] = a.sum()
-    alpha[0] = a / scale[0]
-    for t in range(1, t_len):
-        a = (alpha[t - 1] @ q) * b[t]
-        scale[t] = a.sum()
-        alpha[t] = a / scale[t]
-    loglik = float(np.sum(np.log(scale)) + np.sum(shift))
-
-    beta = np.empty((t_len, n))
-    beta[-1] = 1.0
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = (q @ (b[t + 1] * beta[t + 1])) / scale[t + 1]
-
-    post = alpha * beta
+    loglik, filtered, m, maha = _filter(model, y)
+    suffix, _ = _prefix_products(m[:0:-1].transpose(0, 2, 1))
+    beta = np.ones_like(filtered)
+    beta[:-1] = suffix.sum(axis=1)[::-1]
+    post = filtered * beta
     smoothed = post / post.sum(axis=1, keepdims=True)
-    pairwise = (
-        alpha[:-1, :, None]
-        * q[None, :, :]
-        * (b[1:] * beta[1:])[:, None, :]
-        / scale[1:, None, None]
-    )
-    return loglik, smoothed, pairwise, alpha
+    pairwise = filtered[:-1, :, None] * m[1:] * beta[1:, None, :]
+    pairwise /= pairwise.sum(axis=(1, 2), keepdims=True)
+    return loglik, smoothed, pairwise, filtered, maha
+
+
+def _model_observations(model: MsTModel, panel) -> np.ndarray:
+    """T x p observations of the panel, checked against the model's dimension."""
+    y = _observations(panel)
+    if y.shape[1] != model.dim:
+        raise ValueError(f"panel dimension {y.shape[1]} != model dimension {model.dim}")
+    return y
+
+
+def forward_loglik(model: MsTModel, panel) -> float:
+    """Log-likelihood of the panel under the model, from the scaled forward pass."""
+    return _filter(model, _model_observations(model, panel))[0]
 
 
 def smooth(model: MsTModel, panel):
@@ -210,11 +214,17 @@ def smooth(model: MsTModel, panel):
       pairwise  (T-1) x L x L   P(S_t = i, S_{t+1} = j | I_T)
       filtered  T x L    P(S_t = l | I_t)
     """
-    y = _observations(panel)
-    if y.shape[1] != model.dim:
-        raise ValueError(f"panel dimension {y.shape[1]} != model dimension {model.dim}")
-    _, smoothed, pairwise, filtered = _e_step(model, y)
+    _, smoothed, pairwise, filtered, _ = _e_step(model, _model_observations(model, panel))
     return smoothed, pairwise, filtered
+
+
+def fit_from_model(model: MsTModel, panel) -> FitResult:
+    """FitResult of a known model from one forward-backward pass (no estimation)."""
+    loglik, smoothed, _, filtered, _ = _e_step(model, _model_observations(model, panel))
+    return FitResult(
+        model=model, loglik=loglik, iterations=0, converged=True,
+        smoothed=smoothed, filtered=filtered,
+    )
 
 
 def param_count(L: int, p: int) -> int:
@@ -311,7 +321,7 @@ def _solve_nu(c, nu_old, p):
     return float(optimize.brentq(g, NU_MIN, NU_MAX, xtol=1e-10))
 
 
-def _m_step(y, model, smoothed, pairwise):
+def _m_step(y, model, smoothed, pairwise, maha):
     t_len, p = y.shape
     L = model.n_states
     regimes = []
@@ -323,8 +333,7 @@ def _m_step(y, model, smoothed, pairwise):
             raise RegimeCollapseError(
                 f"regime {l} holds mass {n_l:.2f} < {p + 2} observations"
             )
-        maha = mvt_mahalanobis(y, reg)
-        u = (reg.nu + p) / (reg.nu + maha)
+        u = (reg.nu + p) / (reg.nu + maha[:, l])
         w = gam * u
         mu = (w[:, None] * y).sum(axis=0) / w.sum()
         dev = y - mu
@@ -368,9 +377,9 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
     gamma-scale weights u = (nu + p) / (nu + mahalanobis).  M-step:
     doubly-weighted moments for (mu, sigma), expected-count updates for the
     chain, then a one-dimensional root solve for each nu on
-    [2.1, 200].  The log-likelihood is asserted nondecreasing each
-    iteration (1e-8 relative slack) and iteration stops when its relative
-    change drops below tol.
+    [2.1, 200].  A log-likelihood that decreases between iterations (beyond
+    1e-8 relative slack) raises LikelihoodDecreaseError; iteration stops
+    when its relative change drops below tol.
     """
     y = _observations(panel)
     t_len, p = y.shape
@@ -387,10 +396,10 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
     converged = False
     iterations = 0
     for it in range(max_iter):
-        loglik, smoothed, pairwise, filtered = _e_step(model, y)
+        loglik, smoothed, pairwise, filtered, maha = _e_step(model, y)
         slack = 1e-8 * (1.0 + abs(prev))
         if loglik < prev - slack:
-            raise RuntimeError(
+            raise LikelihoodDecreaseError(
                 f"log-likelihood decreased at iteration {it}: {prev} -> {loglik}"
             )
         path.append(loglik)
@@ -399,10 +408,10 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
             converged = True
             break
         prev = loglik
-        model = _m_step(y, model, smoothed, pairwise)
+        model = _m_step(y, model, smoothed, pairwise, maha)
     else:
         # max_iter exhausted after an M-step: resynchronize posteriors.
-        loglik, smoothed, pairwise, filtered = _e_step(model, y)
+        loglik, smoothed, pairwise, filtered, _ = _e_step(model, y)
         path.append(loglik)
         iterations = max_iter
 
@@ -422,8 +431,9 @@ def fit_restarts(panel, L, n_restarts=1, seed=0, *, tol=1e-8, max_iter=2000) -> 
     """Best-of-n estimation across deterministic-seeded initializations.
 
     The first start is the deterministic PCA-block initialization; later
-    starts use seeded nearest-center assignments.  Collapsed or failed
-    starts are skipped; if every start fails the last error is re-raised.
+    starts use seeded nearest-center assignments.  Starts that collapse,
+    whose log-likelihood decreases or that fail numerically are skipped; if
+    every start fails, a RuntimeError names the last error.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
@@ -435,7 +445,9 @@ def fit_restarts(panel, L, n_restarts=1, seed=0, *, tol=1e-8, max_iter=2000) -> 
             fit = em_fit(
                 panel, L, init=init, seed=seed + r, tol=tol, max_iter=max_iter
             )
-        except (RegimeCollapseError, np.linalg.LinAlgError, ValueError) as exc:
+        except (
+            RegimeCollapseError, LikelihoodDecreaseError, np.linalg.LinAlgError, ValueError
+        ) as exc:
             last_error = exc
             continue
         if best is None or fit.loglik > best.loglik:

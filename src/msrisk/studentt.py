@@ -81,8 +81,12 @@ def mvt_logpdf(x, p: MvtParams):
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (p.dim,):
         raise ValueError(f"x has dimension {x.shape[-1:]}, expected {p.dim}")
+    return _logpdf_from_mahalanobis(mvt_mahalanobis(x, p), p)
+
+
+def _logpdf_from_mahalanobis(maha, p: MvtParams):
+    """Log-density of the multivariate Student-t at points of Mahalanobis form maha."""
     k, nu = p.dim, p.nu
-    maha = mvt_mahalanobis(x, p)
     logdet = 2.0 * np.sum(np.log(np.diag(p.chol)))
     const = (
         special.gammaln(0.5 * (nu + k))

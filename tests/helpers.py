@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from msrisk import FitResult, MsTModel, MvtParams, PredictiveMixture
-from msrisk.markov import forward_loglik, smooth
+from msrisk import MsTModel, MvtParams, PredictiveMixture
+from msrisk.markov import fit_from_model  # noqa: F401  (re-exported for the tests)
 
 
 def random_pd(rng, k, scale=1.0):
@@ -39,19 +39,6 @@ def random_mixture(rng, L, p, scale=0.02, nu_range=(4.0, 20.0)):
     w = rng.uniform(0.2, 1.0, size=L)
     w /= w.sum()
     return PredictiveMixture(weights=w, components=comps, horizon=1, as_of=0)
-
-
-def fit_from_model(model, panel):
-    """FitResult wrapper around a known model (no estimation)."""
-    smoothed, _, filtered = smooth(model, panel)
-    return FitResult(
-        model=model,
-        loglik=forward_loglik(model, panel),
-        iterations=0,
-        converged=True,
-        smoothed=smoothed,
-        filtered=filtered,
-    )
 
 
 def shift_mixture(mix, i, c):

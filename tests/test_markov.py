@@ -18,7 +18,15 @@ from msrisk import (
     select_L,
     smooth,
 )
-from msrisk.markov import load_model, model_from_dict, model_to_dict, save_model
+from msrisk import markov
+from msrisk.markov import (
+    LikelihoodDecreaseError,
+    _e_step,
+    load_model,
+    model_from_dict,
+    model_to_dict,
+    save_model,
+)
 from msrisk.simulate import SimSpec
 
 from helpers import random_model, random_mvt
@@ -126,6 +134,70 @@ class TestSmooth:
         y = np.vstack([half, half[::-1]])
         smoothed, _, _ = smooth(model, y)
         np.testing.assert_allclose(smoothed, smoothed[::-1], atol=1e-10)
+
+
+def sequential_e_step(model, y):
+    """Reference forward-backward: Rabiner's scaled recursion, one step per t."""
+    log_b = np.column_stack([mvt_logpdf(y, r) for r in model.regimes])
+    t_len, n = log_b.shape
+    shift = log_b.max(axis=1)
+    b = np.exp(log_b - shift[:, None])
+    q = model.transition
+    alpha = np.empty((t_len, n))
+    scale = np.empty(t_len)
+    a = model.initial * b[0]
+    for t in range(t_len):
+        if t > 0:
+            a = (alpha[t - 1] @ q) * b[t]
+        scale[t] = a.sum()
+        alpha[t] = a / scale[t]
+    beta = np.ones((t_len, n))
+    for t in range(t_len - 2, -1, -1):
+        beta[t] = (q @ (b[t + 1] * beta[t + 1])) / scale[t + 1]
+    post = alpha * beta
+    pairwise = (
+        alpha[:-1, :, None] * q[None] * (b[1:] * beta[1:])[:, None, :]
+        / scale[1:, None, None]
+    )
+    loglik = float(np.sum(np.log(scale)) + np.sum(shift))
+    return loglik, post / post.sum(axis=1, keepdims=True), pairwise, alpha
+
+
+class TestScanOracle:
+    """The prefix-product E-step against the sequential scaled recursion."""
+
+    @staticmethod
+    def sparse_model(rng, L):
+        # Heavy-tailed regimes and a chain with exact zero transitions
+        # (every state keeps a positive self-transition, so it stays feasible).
+        regimes = [random_mvt(rng, 2, nu=float(rng.uniform(2.1, 4.0))) for _ in range(L)]
+        q = rng.uniform(0.1, 1.0, size=(L, L))
+        q[rng.uniform(size=(L, L)) < 0.4] = 0.0
+        q[-1, 0] = 0.0
+        np.fill_diagonal(q, rng.uniform(0.5, 1.0, size=L))
+        q /= q.sum(axis=1, keepdims=True)
+        delta = rng.uniform(size=L)
+        delta[0] = 0.0 if L > 1 else 1.0
+        return MsTModel(regimes, q, delta / delta.sum())
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 6])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 7, 513, 3001])
+    def test_matches_sequential_recursion(self, L, t_len):
+        rng = np.random.default_rng(1000 * L + t_len)
+        model = self.sparse_model(rng, L)
+        if L > 1:
+            assert np.any(model.transition == 0.0)
+        # Cauchy-scale draws: far outliers make the emissions span many
+        # orders of magnitude within a row.
+        y = 3.0 * rng.standard_t(1.0, size=(t_len, 2))
+        loglik, smoothed, pairwise, filtered, _ = _e_step(model, y)
+        ref = sequential_e_step(model, y)
+        assert pairwise.shape == (t_len - 1, L, L)
+        assert abs(loglik - ref[0]) <= 1e-10 * max(1.0, abs(ref[0]))
+        np.testing.assert_allclose(smoothed, ref[1], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pairwise, ref[2], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(filtered, ref[3], rtol=0, atol=1e-10)
+        assert forward_loglik(model, y) == loglik
 
 
 class TestEmFit:
@@ -248,6 +320,36 @@ class TestFitRestarts:
             fit_restarts(panel, 2, n_restarts=n, seed=0).loglik for n in (1, 2, 4)
         ]
         assert lls[0] <= lls[1] + 1e-12 and lls[1] <= lls[2] + 1e-12
+
+    def test_decreasing_loglik_raises(self, monkeypatch):
+        panel = simulated_panel(300, seed=109)
+        real, calls = markov._e_step, []
+
+        def falling(model, y):
+            calls.append(None)
+            loglik, *rest = real(model, y)
+            return (loglik - 1e6 * (len(calls) == 2), *rest)
+
+        monkeypatch.setattr(markov, "_e_step", falling)
+        with pytest.raises(LikelihoodDecreaseError, match="decreased at iteration 1"):
+            em_fit(panel, 2)
+
+    def test_decreasing_start_is_skipped(self, monkeypatch):
+        panel = simulated_panel(300, seed=110)
+        real, seeds, fits = markov.em_fit, [], {}
+
+        def second_start_fails(panel, L, *, seed, **kwargs):
+            seeds.append(seed)
+            if seed == 1:
+                raise LikelihoodDecreaseError("log-likelihood decreased")
+            fits[seed] = real(panel, L, seed=seed, **kwargs)
+            return fits[seed]
+
+        monkeypatch.setattr(markov, "em_fit", second_start_fails)
+        best = fit_restarts(panel, 2, n_restarts=4, seed=0)
+        assert seeds == [0, 1, 2, 3]
+        assert best.loglik == max(f.loglik for f in fits.values())
+        assert any(best is f for f in fits.values())
 
     def test_restart_count_guard(self):
         with pytest.raises(ValueError):
