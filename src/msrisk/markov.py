@@ -1,8 +1,10 @@
 """L-state multivariate Student-t Markov-switching model.
 
-Forward-backward state inference by log-depth prefix-product scans, ECM
-estimation with per-observation gamma-scale weights, information-criterion
-state-count selection, and JSON serialization of fitted models.
+Forward-backward state inference by work-efficient odd-even prefix-product
+scans, ECM estimation with per-observation gamma-scale weights, expected
+transition counts and a safeguarded Newton solve for each degrees of
+freedom, information-criterion state-count selection, and JSON
+serialization of fitted models.
 
 Transition-matrix orientation: rows index the from-state and columns the
 to-state, i.e. transition[i, j] = P(S_t = j | S_{t-1} = i).
@@ -15,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .panel import ReturnPanel
 from .studentt import MvtParams, _logpdf_from_mahalanobis, mvt_mahalanobis
@@ -132,29 +134,41 @@ def _log_emissions(model: MsTModel, y: np.ndarray):
 def _prefix_products(m):
     """Inclusive prefix products m[0] @ m[1] @ ... @ m[t] of non-negative L x L matrices.
 
-    Hillis-Steele doubling: ceil(log2 T) batched matmuls over the T x L x L
-    stack.  Every product is divided by the sum of its entries and the log
+    Work-efficient odd-even scan (Ladner & Fischer 1980): multiply adjacent
+    pairs, scan the half-length stack of pair products, then fill the odd
+    indices from that scan and the even ones with one more batched matmul.
+    That is about 2T products in 2 ceil(log2 T) batched matmuls of halving
+    size.  Every product is divided by the sum of its entries and the log
     of that sum is carried, so the true product is
     products[t] * exp(log_scale[t]).  All entries are non-negative, so
     nothing cancels and the relative error grows only with the depth.
     """
     t_len, n, _ = m.shape
     ones = np.ones(n * n)
-    total = m.reshape(t_len, n * n) @ ones
-    prod = m / total[:, None, None]
-    log_scale = np.log(total)
-    d = 1
-    while d < t_len:
-        step = np.matmul(prod[:-d], prod[d:])
-        total = step.reshape(t_len - d, n * n) @ ones
-        prod[d:] = step / total[:, None, None]
-        log_scale[d:] = log_scale[:-d] + log_scale[d:] + np.log(total)
-        d *= 2
-    return prod, log_scale
+
+    def unit_sum(x):
+        total = x.reshape(len(x), n * n) @ ones
+        return x / total[:, None, None], np.log(total)
+
+    def scan(prod, log_scale):
+        # Scans in place; a stack of length 0 or 1 is its own prefix scan.
+        if len(prod) < 2:
+            return prod, log_scale
+        pairs, pair_log = unit_sum(np.matmul(prod[0:-1:2], prod[1::2]))
+        pairs, pair_log = scan(pairs, pair_log + log_scale[0:-1:2] + log_scale[1::2])
+        n_even = (len(prod) - 1) // 2
+        even, even_log = unit_sum(np.matmul(pairs[:n_even], prod[2::2]))
+        log_scale[2::2] += even_log + pair_log[:n_even]
+        prod[2::2] = even
+        prod[1::2] = pairs
+        log_scale[1::2] = pair_log
+        return prod, log_scale
+
+    return scan(*unit_sum(m))
 
 
 def _filter(model: MsTModel, y: np.ndarray):
-    """Forward pass: (loglik, filtered, transfer stack, Mahalanobis forms).
+    """Forward pass: (loglik, filtered, shifted emissions, Mahalanobis forms).
 
     With emissions shifted by their per-time maximum, b_t = exp(log b_t -
     shift_t), the transfer stack holds m[0] = diag(delta * b_0) and
@@ -170,27 +184,42 @@ def _filter(model: MsTModel, y: np.ndarray):
     alpha = prod.sum(axis=1)
     total = alpha.sum(axis=1)
     loglik = float(np.log(total[-1]) + log_scale[-1] + shift.sum())
-    return loglik, alpha / total[:, None], m, maha
+    return loglik, alpha / total[:, None], b, maha
 
 
-def _e_step(model: MsTModel, y: np.ndarray):
-    """One forward-backward pass: (loglik, smoothed, pairwise, filtered, mahalanobis).
+def _forward_backward(model: MsTModel, y: np.ndarray):
+    """State posteriors: (loglik, smoothed, filtered, successor, mahalanobis).
 
     Both directions are prefix-product scans (no loop over T).  The
     backward variable beta_t = m[t+1] @ ... @ m[T-1] @ 1 is the column sum
-    of a prefix product of the reversed stack of transposes.  Smoothed and
-    pairwise posteriors are normalized per t, so the arbitrary scales of
-    alpha and beta cancel.  The T x L Mahalanobis forms feed the M-step.
+    of a prefix product of the reversed stack of transposes
+    m[t].T = diag(b_t) Q.T; its arbitrary scale cancels in every posterior.
+    successor[t] = (b * beta)[t+1] / z_t with
+    z_t = sum_j (alpha_t Q)_j (b * beta)[t+1, j], so that
+    P(S_t = i, S_{t+1} = j | I_T) = alpha_t,i Q_ij successor[t, j].
     """
-    loglik, filtered, m, maha = _filter(model, y)
-    suffix, _ = _prefix_products(m[:0:-1].transpose(0, 2, 1))
+    loglik, filtered, b, maha = _filter(model, y)
+    suffix, _ = _prefix_products(b[:0:-1, :, None] * model.transition.T)
     beta = np.ones_like(filtered)
     beta[:-1] = suffix.sum(axis=1)[::-1]
     post = filtered * beta
     smoothed = post / post.sum(axis=1, keepdims=True)
-    pairwise = filtered[:-1, :, None] * m[1:] * beta[1:, None, :]
-    pairwise /= pairwise.sum(axis=(1, 2), keepdims=True)
-    return loglik, smoothed, pairwise, filtered, maha
+    ahead = b[1:] * beta[1:]
+    z = ((filtered[:-1] @ model.transition) * ahead).sum(axis=1)
+    return loglik, smoothed, filtered, ahead / z[:, None], maha
+
+
+def _e_step(model: MsTModel, y: np.ndarray):
+    """One E-step: (loglik, smoothed, counts, filtered, mahalanobis).
+
+    counts is the L x L matrix of expected transitions
+    sum_t P(S_t = i, S_{t+1} = j | I_T) = Q * (alpha[:-1].T @ successor),
+    one matmul instead of a (T-1) x L x L pairwise array.  The T x L
+    Mahalanobis forms feed the M-step.
+    """
+    loglik, smoothed, filtered, successor, maha = _forward_backward(model, y)
+    counts = model.transition * (filtered[:-1].T @ successor)
+    return loglik, smoothed, counts, filtered, maha
 
 
 def _model_observations(model: MsTModel, panel) -> np.ndarray:
@@ -214,13 +243,18 @@ def smooth(model: MsTModel, panel):
       pairwise  (T-1) x L x L   P(S_t = i, S_{t+1} = j | I_T)
       filtered  T x L    P(S_t = l | I_t)
     """
-    _, smoothed, pairwise, filtered, _ = _e_step(model, _model_observations(model, panel))
+    _, smoothed, filtered, successor, _ = _forward_backward(
+        model, _model_observations(model, panel)
+    )
+    pairwise = filtered[:-1, :, None] * model.transition * successor[:, None, :]
     return smoothed, pairwise, filtered
 
 
 def fit_from_model(model: MsTModel, panel) -> FitResult:
     """FitResult of a known model from one forward-backward pass (no estimation)."""
-    loglik, smoothed, _, filtered, _ = _e_step(model, _model_observations(model, panel))
+    loglik, smoothed, filtered, _, _ = _forward_backward(
+        model, _model_observations(model, panel)
+    )
     return FitResult(
         model=model, loglik=loglik, iterations=0, converged=True,
         smoothed=smoothed, filtered=filtered,
@@ -300,28 +334,43 @@ def _initial_model(y, L, init, seed) -> MsTModel:
 
 
 def _solve_nu(c, nu_old, p):
-    """Root of the weighted digamma stationarity equation on [NU_MIN, NU_MAX]."""
+    """Root of the weighted digamma stationarity equation on [NU_MIN, NU_MAX].
+
+    g(nu) = -psi(nu/2) + log(nu/2) + 1 + c + psi((nu_old+p)/2) - log((nu_old+p)/2)
+    is decreasing in nu, with g'(nu) = -psi'(nu/2)/2 + 1/nu < 0.  A bound is
+    returned when g does not change sign on the bracket; otherwise Newton
+    steps from nu_old, replaced by bisection of the shrinking sign bracket
+    whenever a step leaves it, stop once a step is below xtol = 1e-10.
+    """
+    xtol = 1e-10
+    const = 1.0 + c + special.digamma(0.5 * (nu_old + p)) - np.log(0.5 * (nu_old + p))
 
     def g(nu):
-        half = 0.5 * nu
-        return (
-            -special.digamma(half)
-            + np.log(half)
-            + 1.0
-            + c
-            + special.digamma(0.5 * (nu_old + p))
-            - np.log(0.5 * (nu_old + p))
-        )
+        return -special.digamma(0.5 * nu) + np.log(0.5 * nu) + const
 
-    g_lo, g_hi = g(NU_MIN), g(NU_MAX)
-    if g_lo <= 0.0:
+    if g(NU_MIN) <= 0.0:
         return NU_MIN
-    if g_hi >= 0.0:
+    if g(NU_MAX) >= 0.0:
         return NU_MAX
-    return float(optimize.brentq(g, NU_MIN, NU_MAX, xtol=1e-10))
+    lo, hi = NU_MIN, NU_MAX
+    nu = min(max(nu_old, lo), hi)
+    while hi - lo > xtol:
+        value = g(nu)
+        if value > 0.0:
+            lo = nu
+        else:
+            hi = nu
+        slope = -0.5 * special.polygamma(1, 0.5 * nu) + 1.0 / nu
+        step = nu - value / slope
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - nu) <= xtol:
+            return float(step)
+        nu = step
+    return float(0.5 * (lo + hi))
 
 
-def _m_step(y, model, smoothed, pairwise, maha):
+def _m_step(y, model, smoothed, counts, maha):
     t_len, p = y.shape
     L = model.n_states
     regimes = []
@@ -348,7 +397,6 @@ def _m_step(y, model, smoothed, pairwise, maha):
     if L == 1:
         q = np.array([[1.0]])
     else:
-        counts = pairwise.sum(axis=0)
         rows = counts.sum(axis=1, keepdims=True)
         rows[rows <= 0.0] = 1.0
         q = counts / rows
@@ -396,7 +444,7 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
     converged = False
     iterations = 0
     for it in range(max_iter):
-        loglik, smoothed, pairwise, filtered, maha = _e_step(model, y)
+        loglik, smoothed, counts, filtered, maha = _e_step(model, y)
         slack = 1e-8 * (1.0 + abs(prev))
         if loglik < prev - slack:
             raise LikelihoodDecreaseError(
@@ -408,10 +456,10 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
             converged = True
             break
         prev = loglik
-        model = _m_step(y, model, smoothed, pairwise, maha)
+        model = _m_step(y, model, smoothed, counts, maha)
     else:
         # max_iter exhausted after an M-step: resynchronize posteriors.
-        loglik, smoothed, pairwise, filtered, _ = _e_step(model, y)
+        loglik, smoothed, _, filtered, _ = _e_step(model, y)
         path.append(loglik)
         iterations = max_iter
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
 
 from msrisk import (
     MsTModel,
@@ -20,8 +25,11 @@ from msrisk import (
 )
 from msrisk import markov
 from msrisk.markov import (
+    NU_MAX,
+    NU_MIN,
     LikelihoodDecreaseError,
     _e_step,
+    _solve_nu,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -181,7 +189,8 @@ class TestScanOracle:
         return MsTModel(regimes, q, delta / delta.sum())
 
     @pytest.mark.parametrize("L", [1, 2, 3, 6])
-    @pytest.mark.parametrize("t_len", [1, 2, 3, 7, 513, 3001])
+    # 4, 5, 8, 9, 1024 and 1025 sit on the odd-even scan's halving boundaries.
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 5, 7, 8, 9, 513, 1024, 1025, 3001])
     def test_matches_sequential_recursion(self, L, t_len):
         rng = np.random.default_rng(1000 * L + t_len)
         model = self.sparse_model(rng, L)
@@ -190,12 +199,14 @@ class TestScanOracle:
         # Cauchy-scale draws: far outliers make the emissions span many
         # orders of magnitude within a row.
         y = 3.0 * rng.standard_t(1.0, size=(t_len, 2))
-        loglik, smoothed, pairwise, filtered, _ = _e_step(model, y)
+        loglik, smoothed, counts, filtered, _ = _e_step(model, y)
         ref = sequential_e_step(model, y)
+        _, pairwise, _ = smooth(model, y)
         assert pairwise.shape == (t_len - 1, L, L)
         assert abs(loglik - ref[0]) <= 1e-10 * max(1.0, abs(ref[0]))
         np.testing.assert_allclose(smoothed, ref[1], rtol=0, atol=1e-10)
         np.testing.assert_allclose(pairwise, ref[2], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(counts, ref[2].sum(axis=0), rtol=0, atol=1e-10 * t_len)
         np.testing.assert_allclose(filtered, ref[3], rtol=0, atol=1e-10)
         assert forward_loglik(model, y) == loglik
 
@@ -274,6 +285,45 @@ class TestEmFit:
             em_fit(panel, 0)
         with pytest.raises(ValueError):
             em_fit(panel, 2, tol=-1.0)
+
+
+class TestSolveNu:
+    @staticmethod
+    def brentq_nu(c, nu_old, p):
+        def g(nu):
+            return (
+                -special.digamma(0.5 * nu) + np.log(0.5 * nu) + 1.0 + c
+                + special.digamma(0.5 * (nu_old + p)) - np.log(0.5 * (nu_old + p))
+            )
+
+        if g(NU_MIN) <= 0.0:
+            return NU_MIN
+        if g(NU_MAX) >= 0.0:
+            return NU_MAX
+        return optimize.brentq(g, NU_MIN, NU_MAX, xtol=1e-10)
+
+    def test_matches_brentq(self):
+        roots = []
+        for c in np.linspace(-1.6, -0.95, 40):
+            for nu_old in (2.5, 8.0, 50.0, 150.0):
+                for p in (1, 3, 5):
+                    nu = _solve_nu(c, nu_old, p)
+                    assert abs(nu - self.brentq_nu(c, nu_old, p)) <= 2e-10
+                    roots.append(nu)
+        assert NU_MIN in roots and NU_MAX in roots
+        assert np.sum((np.array(roots) > NU_MIN) & (np.array(roots) < NU_MAX)) > 100
+
+    def test_cli_import_skips_scipy_optimize(self):
+        # scipy.optimize costs a noticeable share of every CLI start-up.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, msrisk.cli; sys.exit('scipy.optimize' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
 
 
 class TestRawArrayValidation:
