@@ -8,15 +8,15 @@ contributors by exact subset enumeration.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corisk import CSV_SCHEMA, MEASURES, CoRiskEngine, coalition_masks
+from .corisk import MEASURES, CoRiskEngine, coalition_masks
 from .markov import FitResult
+from .panel import _write_csv
 from .predictive import PredictiveMixture, build_predictive
 
 MAX_PLAYERS = 20
@@ -195,18 +195,15 @@ def vis_a_vis(fit: FitResult, pair, measure: str = "covar", tau1: float = 0.05,
 
 def write_attribution_csv(path, dates, names, series: AttributionSeries) -> None:
     """Attribution CSV: (date, target, contributor, measure, share, grand_value)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["date", "target", "contributor", "measure", "share", "grand_value"]
-        )
-        for (i, j), values in sorted(series.shares.items()):
-            for t, d in enumerate(dates):
-                writer.writerow(
-                    (d.isoformat(), names[i], names[j], series.measure,
-                     repr(float(values[t])), repr(float(series.grand[i][t])))
-                )
+    rows = [
+        (d.isoformat(), names[i], names[j], series.measure,
+         repr(float(values[t])), repr(float(series.grand[i][t])))
+        for (i, j), values in sorted(series.shares.items())
+        for t, d in enumerate(dates)
+    ]
+    _write_csv(
+        path, ["date", "target", "contributor", "measure", "share", "grand_value"], rows
+    )
 
 
 def write_attribution_json(path, dates, names, series: AttributionSeries) -> None:

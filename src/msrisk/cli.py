@@ -9,7 +9,6 @@ CSV/JSON carrying a schema-version header.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attribution, corisk, markov, panel, simulate
-from .corisk import CSV_SCHEMA
+from .panel import _write_csv
 from .studentt import MvtParams
 
 
@@ -124,14 +123,6 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def cmd_stats(args) -> int:
     data = _load_panel(args)
     stats = panel.summary_stats(data, alpha=args.alpha)
@@ -195,10 +186,10 @@ def cmd_fit(args) -> int:
     )
     probs_path = outdir / "smoothed.csv"
     header = ["date"] + [f"state_{l+1}" for l in range(fit.model.n_states)]
-    rows = [
-        [data.dates[t].isoformat()] + [repr(float(v)) for v in fit.smoothed[t]]
-        for t in range(data.n_obs)
-    ]
+    rows = (
+        [d.isoformat(), *map(repr, probs)]
+        for d, probs in zip(data.dates, fit.smoothed.tolist())
+    )
     _write_csv(probs_path, header, rows)
     print(f"wrote {model_path} and {probs_path} (loglik={fit.loglik:.3f}, "
           f"converged={fit.converged})")
@@ -292,10 +283,10 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     panel_path = outdir / "panel.csv"
     header = ["date"] + list(data.names)
-    rows = [
-        [data.dates[t].isoformat()] + [repr(float(v)) for v in data.returns[t]]
-        for t in range(data.n_obs)
-    ]
+    rows = (
+        [d.isoformat(), *map(repr, values)]
+        for d, values in zip(data.dates, data.returns.tolist())
+    )
     _write_csv(panel_path, header, rows)
     truth_path = outdir / "truth_model.json"
     markov.save_model(truth_path, model, labels=data.names, t_len=args.T)

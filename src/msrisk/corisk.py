@@ -19,7 +19,6 @@ single-point path for arbitrary conditioning sets.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from scipy import special
 from scipy.special import logsumexp
 
 from .markov import FitResult, MsTModel
+from .panel import _write_csv
 from .predictive import PredictiveMixture, predictive_weight_path
 from .studentt import (
     batched_mixture_quantile,
@@ -37,7 +37,6 @@ from .studentt import (
     univariate,
 )
 
-CSV_SCHEMA = "# schema: msrisk/1"
 MEASURES = ("covar", "coes")
 
 # (row, component) pairs held in memory at once by one coalition batch;
@@ -469,10 +468,6 @@ def write_risk_csv(path, dates, names, series_list, measure: str = "both") -> No
                     (d.isoformat(), names[s.target], dset, label,
                      s.tau1, s.tau2, repr(float(values[t])))
                 )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["date", "target", "distress_set", "measure", "tau1", "tau2", "value"]
-        )
-        writer.writerows(rows)
+    _write_csv(
+        path, ["date", "target", "distress_set", "measure", "tau1", "tau2", "value"], rows
+    )

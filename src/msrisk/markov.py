@@ -1,10 +1,13 @@
 """L-state multivariate Student-t Markov-switching model.
 
-Forward-backward state inference by work-efficient odd-even prefix-product
-scans, ECM estimation with per-observation gamma-scale weights, expected
-transition counts and a safeguarded Newton solve for each degrees of
-freedom, information-criterion state-count selection, and JSON
-serialization of fitted models.
+Forward-backward state inference by work-efficient odd-even scans of row
+vectors (about T matrix products up and T vector-matrix products down per
+direction; no T x L x L prefix array), ECM estimation with per-observation
+gamma-scale weights, expected transition counts and a safeguarded Newton
+solve for each degrees of freedom, information-criterion state-count
+selection, and JSON serialization of fitted models.  Per-time reductions
+over the short state axis are matrix-vector products or reductions over
+the leading axis of an L x T array.
 
 Transition-matrix orientation: rows index the from-state and columns the
 to-state, i.e. transition[i, j] = P(S_t = j | S_{t-1} = i).
@@ -123,89 +126,98 @@ def _observations(panel) -> np.ndarray:
 
 
 def _log_emissions(model: MsTModel, y: np.ndarray):
-    """T x L log emission densities and the Mahalanobis forms behind them."""
-    maha = np.column_stack([mvt_mahalanobis(y, r) for r in model.regimes])
-    log_b = np.column_stack(
-        [_logpdf_from_mahalanobis(maha[:, l], r) for l, r in enumerate(model.regimes)]
-    )
-    return log_b, maha
+    """L x T log emission densities and the T x L Mahalanobis forms behind them.
 
-
-def _prefix_products(m):
-    """Inclusive prefix products m[0] @ m[1] @ ... @ m[t] of non-negative L x L matrices.
-
-    Work-efficient odd-even scan (Ladner & Fischer 1980): multiply adjacent
-    pairs, scan the half-length stack of pair products, then fill the odd
-    indices from that scan and the even ones with one more batched matmul.
-    That is about 2T products in 2 ceil(log2 T) batched matmuls of halving
-    size.  Every product is divided by the sum of its entries and the log
-    of that sum is carried, so the true product is
-    products[t] * exp(log_scale[t]).  All entries are non-negative, so
-    nothing cancels and the relative error grows only with the depth.
+    The L x T layout makes every per-time reduction over states a
+    contiguous reduction over the leading axis.
     """
-    t_len, n, _ = m.shape
-    ones = np.ones(n * n)
+    maha = np.stack([mvt_mahalanobis(y, r) for r in model.regimes])
+    log_b = np.stack(
+        [_logpdf_from_mahalanobis(d, r) for d, r in zip(maha, model.regimes)]
+    )
+    return log_b, maha.T
 
-    def unit_sum(x):
-        total = x.reshape(len(x), n * n) @ ones
-        return x / total[:, None, None], np.log(total)
 
-    def scan(prod, log_scale):
-        # Scans in place; a stack of length 0 or 1 is its own prefix scan.
-        if len(prod) < 2:
-            return prod, log_scale
-        pairs, pair_log = unit_sum(np.matmul(prod[0:-1:2], prod[1::2]))
-        pairs, pair_log = scan(pairs, pair_log + log_scale[0:-1:2] + log_scale[1::2])
-        n_even = (len(prod) - 1) // 2
-        even, even_log = unit_sum(np.matmul(pairs[:n_even], prod[2::2]))
-        log_scale[2::2] += even_log + pair_log[:n_even]
-        prod[2::2] = even
-        prod[1::2] = pairs
-        log_scale[1::2] = pair_log
-        return prod, log_scale
+def _scan_rows(seed, m):
+    """Row vectors seed @ m[0] @ ... @ m[t-1], t = 0..len(m), each scaled to unit sum.
 
-    return scan(*unit_sum(m))
+    m is a stack of non-negative L x L matrices.  Work-efficient odd-even
+    scan (Ladner & Fischer 1980): the up-sweep multiplies adjacent pairs
+    m[0] m[1], m[2] m[3], ... (about T matrix products over all levels) and
+    scans the half-length stack of pair products for the even-indexed rows;
+    the down-sweep fills each odd-indexed row as the row before it times
+    one matrix of the stack, a batched vector-matrix product (about T over
+    all levels).  No stack of prefix matrices is built.  Every pair product
+    and every row is divided by the sum of its entries and the log of that
+    sum is carried, so the true row is rows[t] * exp(log_scale[t]).  All
+    entries are non-negative, so nothing cancels and the relative error
+    grows only with the depth.  Returns (rows, log_scale) of shapes
+    (len(m) + 1) x L and len(m) + 1.
+    """
+    n = len(seed)
+    ones = np.ones(n)
+    pair_ones = np.ones(n * n)
+
+    def scan(m, m_log):
+        # m_log[k] is the log of the factor divided out of m[k].
+        if len(m) == 0:
+            total = seed.sum()
+            return (seed / total)[None], np.array([np.log(total)])
+        pairs = np.matmul(m[0:-1:2], m[1::2])
+        pair_total = pairs.reshape(len(pairs), n * n) @ pair_ones
+        pairs /= pair_total[:, None, None]
+        even, even_log = scan(pairs, np.log(pair_total) + m_log[0:-1:2] + m_log[1::2])
+        n_odd = (len(m) + 1) // 2
+        odd = np.einsum("ti,tij->tj", even[:n_odd], m[0::2])
+        odd_total = odd @ ones
+        rows = np.empty((len(m) + 1, n))
+        log_scale = np.empty(len(m) + 1)
+        rows[0::2] = even
+        rows[1::2] = odd / odd_total[:, None]
+        log_scale[0::2] = even_log
+        log_scale[1::2] = even_log[:n_odd] + np.log(odd_total) + m_log[0::2]
+        return rows, log_scale
+
+    return scan(m, np.zeros(len(m)))
 
 
 def _filter(model: MsTModel, y: np.ndarray):
     """Forward pass: (loglik, filtered, shifted emissions, Mahalanobis forms).
 
     With emissions shifted by their per-time maximum, b_t = exp(log b_t -
-    shift_t), the transfer stack holds m[0] = diag(delta * b_0) and
-    m[t] = Q diag(b_t).  The forward variable alpha_t is the column sum of
-    the prefix product m[0] @ ... @ m[t].
+    shift_t) (an L x T array), the forward variable is the row scan
+    alpha_t = (delta * b_0) @ m[1] @ ... @ m[t] of the stack
+    m[t] = Q diag(b_t), t = 1..T-1.
     """
     log_b, maha = _log_emissions(model, y)
-    shift = log_b.max(axis=1)
-    b = np.exp(log_b - shift[:, None])
-    m = model.transition[None, :, :] * b[:, None, :]
-    m[0] = np.diag(model.initial * b[0])
-    prod, log_scale = _prefix_products(m)
-    alpha = prod.sum(axis=1)
-    total = alpha.sum(axis=1)
-    loglik = float(np.log(total[-1]) + log_scale[-1] + shift.sum())
-    return loglik, alpha / total[:, None], b, maha
+    shift = log_b.max(axis=0)
+    b = np.exp(log_b - shift)
+    m = model.transition * b.T[1:, None, :]
+    filtered, log_scale = _scan_rows(model.initial * b[:, 0], m)
+    loglik = float(log_scale[-1] + shift.sum())
+    return loglik, filtered, b, maha
 
 
 def _forward_backward(model: MsTModel, y: np.ndarray):
     """State posteriors: (loglik, smoothed, filtered, successor, mahalanobis).
 
-    Both directions are prefix-product scans (no loop over T).  The
-    backward variable beta_t = m[t+1] @ ... @ m[T-1] @ 1 is the column sum
-    of a prefix product of the reversed stack of transposes
-    m[t].T = diag(b_t) Q.T; its arbitrary scale cancels in every posterior.
+    Both directions are row scans (no loop over T).  The backward variable
+    beta_t = m[t+1] @ ... @ m[T-1] @ 1 is, transposed, the row scan of the
+    reversed stack of transposes m[t].T = diag(b_t) Q.T seeded with ones;
+    its arbitrary scale cancels in every posterior.
     successor[t] = (b * beta)[t+1] / z_t with
     z_t = sum_j (alpha_t Q)_j (b * beta)[t+1, j], so that
     P(S_t = i, S_{t+1} = j | I_T) = alpha_t,i Q_ij successor[t, j].
     """
     loglik, filtered, b, maha = _filter(model, y)
-    suffix, _ = _prefix_products(b[:0:-1, :, None] * model.transition.T)
-    beta = np.ones_like(filtered)
-    beta[:-1] = suffix.sum(axis=1)[::-1]
+    ones = np.ones(model.n_states)
+    b = b.T
+    beta, _ = _scan_rows(ones, b[:0:-1, :, None] * model.transition.T)
+    beta = beta[::-1]
     post = filtered * beta
-    smoothed = post / post.sum(axis=1, keepdims=True)
+    smoothed = post / (post @ ones)[:, None]
     ahead = b[1:] * beta[1:]
-    z = ((filtered[:-1] @ model.transition) * ahead).sum(axis=1)
+    z = ((filtered[:-1] @ model.transition) * ahead) @ ones
     return loglik, smoothed, filtered, ahead / z[:, None], maha
 
 
@@ -384,13 +396,13 @@ def _m_step(y, model, smoothed, counts, maha):
             )
         u = (reg.nu + p) / (reg.nu + maha[:, l])
         w = gam * u
-        mu = (w[:, None] * y).sum(axis=0) / w.sum()
+        mu = (w @ y) / w.sum()
         dev = y - mu
         sigma = (w[:, None] * dev).T @ dev / n_l
         sigma = 0.5 * (sigma + sigma.T)
         if np.linalg.cond(sigma) > 1e12:
             sigma += (1e-8 * np.trace(sigma) / p) * np.eye(p)
-        c = float(np.sum(gam * (np.log(u) - u)) / n_l)
+        c = float(gam @ (np.log(u) - u) / n_l)
         nu = _solve_nu(c, reg.nu, p)
         regimes.append(MvtParams(mu, sigma, nu))
 

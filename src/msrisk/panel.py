@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+CSV_SCHEMA = "# schema: msrisk/1"
+
+
 class PanelError(ValueError):
     """Raised for malformed input panels or CSV files."""
 
@@ -88,6 +91,19 @@ class SummaryStats:
     quantile: np.ndarray
     jb: np.ndarray
     alpha: float
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV output file: the schema line, the header, then the rows.
+
+    Every CSV the package writes goes through here.  Private, so a traced
+    run charges the write to the caller that built the rows.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(CSV_SCHEMA + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:

@@ -29,6 +29,7 @@ from msrisk.markov import (
     NU_MIN,
     LikelihoodDecreaseError,
     _e_step,
+    _scan_rows,
     _solve_nu,
     load_model,
     model_from_dict,
@@ -169,6 +170,40 @@ def sequential_e_step(model, y):
     )
     loglik = float(np.sum(np.log(scale)) + np.sum(shift))
     return loglik, post / post.sum(axis=1, keepdims=True), pairwise, alpha
+
+
+class TestScanRows:
+    """The row scan against sequential vector-matrix products."""
+
+    @staticmethod
+    def stack(rng, n_mat, L):
+        # Entries spanning 30 orders of magnitude with exact zeros; a
+        # positive diagonal keeps every product row non-zero.
+        m = rng.uniform(size=(n_mat, L, L)) * 10.0 ** rng.uniform(-30.0, 0.0, size=(n_mat, L, L))
+        m[rng.uniform(size=(n_mat, L, L)) < 0.3] = 0.0
+        diag = np.arange(L)
+        m[:, diag, diag] = 10.0 ** rng.uniform(-8.0, 0.0, size=(n_mat, L))
+        return m
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 6])
+    @pytest.mark.parametrize("n_mat", [0, 1, 2, 3, 4, 5, 8, 9, 1024, 1025])
+    def test_matches_sequential_products(self, L, n_mat):
+        rng = np.random.default_rng(100 * L + n_mat)
+        m = self.stack(rng, n_mat, L)
+        seed = 10.0 ** rng.uniform(-5.0, 5.0, size=L)
+        if L > 1:
+            seed[0] = 0.0
+        rows, log_scale = _scan_rows(seed, m)
+        assert rows.shape == (n_mat + 1, L) and log_scale.shape == (n_mat + 1,)
+        row, log_total = seed, 0.0
+        for t in range(n_mat + 1):
+            if t > 0:
+                row = row @ m[t - 1]
+            total = row.sum()
+            row = row / total
+            log_total += np.log(total)
+            np.testing.assert_allclose(rows[t], row, rtol=0, atol=1e-10)
+            assert abs(log_scale[t] - log_total) <= 1e-10 * max(1.0, abs(log_total))
 
 
 class TestScanOracle:

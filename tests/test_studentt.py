@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, linalg, stats
 from scipy.optimize import brentq
 
 from msrisk import (
@@ -14,7 +14,12 @@ from msrisk import (
     t_es,
     t_quantile,
 )
-from msrisk.studentt import mixture_cdf, mixture_truncated_mean, univariate
+from msrisk.studentt import (
+    mixture_cdf,
+    mixture_truncated_mean,
+    mvt_mahalanobis,
+    univariate,
+)
 
 from helpers import random_mvt, random_pd
 
@@ -71,6 +76,32 @@ class TestMvtLogpdf:
         p = MvtParams([0.0, 0.0], np.eye(2), 5.0)
         with pytest.raises(ValueError):
             mvt_logpdf(np.zeros(3), p)
+
+
+class TestMvtMahalanobis:
+    """The whitened quadratic form against a triangular-solve oracle."""
+
+    @staticmethod
+    def spd(rng, k, cond):
+        # Eigenvalues log-spaced over the condition number, random rotation
+        # and overall scale.
+        rot, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        eig = np.logspace(0.0, -np.log10(cond), k) * 10.0 ** rng.uniform(-6.0, 2.0)
+        sigma = (rot * eig) @ rot.T
+        return 0.5 * (sigma + sigma.T)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+    def test_matches_triangular_solve(self, k, cond):
+        rng = np.random.default_rng(int(np.log10(cond)) * 10 + k)
+        for _ in range(10):
+            sigma = self.spd(rng, k, cond)
+            p = MvtParams(rng.normal(size=k), sigma, 5.0)
+            scale = np.sqrt(np.diag(sigma)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(300, 1))
+            x = p.mu + rng.normal(size=(300, k)) * scale
+            sol = linalg.solve_triangular(p.chol, (x - p.mu).T, lower=True)
+            expected = np.sum(sol * sol, axis=0)
+            np.testing.assert_allclose(mvt_mahalanobis(x, p), expected, rtol=1e-11, atol=0)
 
 
 class TestUnivariateTail:
