@@ -13,8 +13,7 @@ conditioning vector, handled in log space.
 
 Every measure is evaluated by CoRiskEngine, which batches the work over
 dates, series, levels and distress coalitions; the single-mixture
-functions are its T=1 case.  conditional_mixture is the general
-single-point path for arbitrary conditioning sets.
+functions, conditional_mixture included, are its T=1 case.
 """
 
 from __future__ import annotations
@@ -22,19 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.special import logsumexp
 
 from .markov import FitResult, MsTModel
 from .panel import _write_csv
 from .predictive import PredictiveMixture, predictive_weight_path
 from .studentt import (
+    _mvt_log_norm,
     batched_mixture_quantile,
     batched_mixture_truncated_mean,
-    condition_mvt,
     marginal_mvt,
-    mvt_logpdf,
-    univariate,
 )
 
 MEASURES = ("covar", "coes")
@@ -193,7 +188,6 @@ class CoRiskEngine:
             chol = np.linalg.cholesky(s22)
             reg = np.linalg.solve(s22, s21[..., None])[..., 0]
             logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-            nu = self.nu
             self._blocks[target] = _Block(
                 others=others,
                 mu_cond=self.mu[:, others],
@@ -201,19 +195,18 @@ class CoRiskEngine:
                 chol=chol,
                 reg=reg,
                 schur=self.sigma[:, target, target] - np.sum(reg * s21, axis=1),
-                log_const=(
-                    np.log(special.poch(0.5 * nu, 0.5 * d))
-                    - 0.5 * d * np.log(nu * np.pi) - 0.5 * logdet
-                ),
+                log_const=_mvt_log_norm(self.nu, d, logdet),
             )
         return self._blocks[target]
 
-    def _conditional(self, blk: _Block, x):
-        """Target's conditional components at conditioning vectors x (..., d).
+    def _conditional(self, blk: _Block, x, dates=slice(None)):
+        """Target's conditional mixtures at conditioning vectors x (n, C, d).
 
-        Returns each component's marginal log-density at x and its
-        conditional location and scale, each (..., L); the conditional
-        degrees of freedom are nu + d.
+        Row n of x belongs to the n-th of the given dates.  Per component
+        the exact conditional t is formed and the date's weight is
+        reweighted by the component's marginal density at x, in log space.
+        Returns the component weights, conditional locations and scales,
+        each (n, C, L); the conditional degrees of freedom are nu + d.
         """
         d = len(blk.others)
         dev = [x[..., k, None] - blk.mu_cond[:, k] for k in range(d)]
@@ -226,8 +219,13 @@ class CoRiskEngine:
         maha = sum(zk * zk for zk in z)
         loc = blk.mu_target + sum(blk.reg[:, k] * dev[k] for k in range(d))
         scale = np.sqrt((self.nu + maha) / (self.nu + d) * blk.schur)
-        log_dens = blk.log_const - 0.5 * (self.nu + d) * np.log1p(maha / self.nu)
-        return log_dens, loc, scale
+        log_w = (
+            self.log_weights[dates, None, :]
+            + blk.log_const - 0.5 * (self.nu + d) * np.log1p(maha / self.nu)
+        )
+        w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+        w /= w.sum(axis=-1, keepdims=True)
+        return w, loc, scale
 
     def coalition_values(self, target: int, measure: str, tau1: float, tau2: float,
                          coalitions, threshold: str = "conditional") -> np.ndarray:
@@ -261,10 +259,7 @@ class CoRiskEngine:
         for lo in range(0, t_len, step):
             dates = slice(lo, lo + step)
             x = np.where(masks, distress[dates, None, :], normal[dates, None, :])
-            log_dens, loc, scale = self._conditional(blk, x)
-            log_w = self.log_weights[dates, None, :] + log_dens
-            w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
-            w /= w.sum(axis=-1, keepdims=True)
+            w, loc, scale = self._conditional(blk, x, dates)
             nu = self.nu + len(blk.others)
             if measure == "covar":
                 out[dates] = batched_mixture_quantile(w, loc, scale, nu, tau1)
@@ -306,30 +301,26 @@ def marginal_es(mix: PredictiveMixture, i: int, tau: float) -> float:
 
 
 def conditional_mixture(mix: PredictiveMixture, target: int, cond_idx, cond_values):
-    """Univariate mixture of the target given a point on the other coordinates.
+    """Univariate mixture of the target given a point on the coordinates cond_idx.
 
-    Per component the exact conditional t is formed and the weight is
-    log pi_l plus the component's marginal log-density at the conditioning
-    vector, normalized by log-sum-exp.
+    The engine's T=1 case on the components marginalised to the target and
+    cond_idx: per component the exact conditional t, with the weights
+    reweighted by each component's marginal density at the point.
 
     Returns (weights, [(mu, sigma, nu), ...]).
     """
     _check_index(mix, target)
     cond_idx = list(cond_idx)
     cond_values = np.asarray(cond_values, dtype=float)
-    keep = [i for i in range(mix.dim) if i not in set(cond_idx)]
-    pos = keep.index(target)
-    log_w = np.empty(len(mix.components))
-    comps = []
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(mix.weights)
-    for l, comp in enumerate(mix.components):
-        log_w[l] = log_pi[l] + mvt_logpdf(cond_values, marginal_mvt(comp, cond_idx))
-        cond = condition_mvt(comp, cond_idx, cond_values)
-        comps.append(univariate(marginal_mvt(cond, [pos])))
-    weights = np.exp(log_w - logsumexp(log_w))
-    weights /= weights.sum()
-    return weights, comps
+    if not cond_idx or cond_values.shape != (len(cond_idx),):
+        raise ValueError("cond_values must match a nonempty cond_idx in length")
+    # marginal_mvt rejects a repeated index (the target's included) or one out of range
+    keep = sorted([target, *cond_idx])
+    engine = CoRiskEngine(mix.weights, [marginal_mvt(c, keep) for c in mix.components])
+    blk = engine._block(keep.index(target))
+    w, loc, scale = engine._conditional(blk, cond_values[np.argsort(cond_idx)][None, None])
+    nu = engine.nu + len(cond_idx)
+    return w[0, 0], [tuple(map(float, c)) for c in zip(loc[0, 0], scale[0, 0], nu)]
 
 
 def multiple_covar(mix: PredictiveMixture, q: RiskQuery) -> float:

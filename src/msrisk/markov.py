@@ -285,7 +285,7 @@ def information_criteria(loglik: float, k: int, t_len: int):
             f"sample size T={t_len} does not exceed parameter count k={k}",
             stacklevel=2,
         )
-    return -2.0 * loglik + 2.0 * k, -2.0 * loglik + k * np.log(t_len)
+    return float(-2.0 * loglik + 2.0 * k), float(-2.0 * loglik + k * np.log(t_len))
 
 
 def decompose_sigma(sigma):
@@ -430,6 +430,24 @@ def _relabel(model, smoothed, filtered):
     return model, smoothed[:, order], filtered[:, order]
 
 
+def _fit_observations(panel, L, tol) -> np.ndarray:
+    """T x p observations of a panel to fit with L states, after the checks all starts share."""
+    y = _observations(panel)
+    t_len, p = y.shape
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if t_len < 10 * p:
+        raise ValueError(f"fitting guard: T={t_len} < 10 p={10 * p}")
+    flat = np.flatnonzero(np.ptp(y, axis=0) == 0.0)
+    if flat.size:
+        j = flat[0]
+        where = f"series {panel.names[j]!r}" if isinstance(panel, ReturnPanel) else f"column {j}"
+        raise ValueError(f"{where} is constant (zero variance) and cannot be fitted")
+    return y
+
+
 def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitResult:
     """ECM estimation of the L-state Student-t Markov-switching model.
 
@@ -441,15 +459,7 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
     1e-8 relative slack) raises LikelihoodDecreaseError; iteration stops
     when its relative change drops below tol.
     """
-    y = _observations(panel)
-    t_len, p = y.shape
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if t_len < 10 * p:
-        raise ValueError(f"fitting guard: T={t_len} < 10 p={10 * p}")
-
+    y = _fit_observations(panel, L, tol)
     model = _initial_model(y, L, init, seed)
     path = []
     prev = -np.inf
@@ -491,12 +501,14 @@ def fit_restarts(panel, L, n_restarts=1, seed=0, *, tol=1e-8, max_iter=2000) -> 
     """Best-of-n estimation across deterministic-seeded initializations.
 
     The first start is the deterministic PCA-block initialization; later
-    starts use seeded nearest-center assignments.  Starts that collapse,
-    whose log-likelihood decreases or that fail numerically are skipped; if
-    every start fails, a RuntimeError names the last error.
+    starts use seeded nearest-center assignments.  Arguments are checked
+    before any start runs.  Starts that collapse, whose log-likelihood
+    decreases or that fail numerically are skipped; if every start fails, a
+    RuntimeError names the last error.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
+    _fit_observations(panel, L, tol)
     best = None
     last_error = None
     for r in range(n_restarts):

@@ -171,35 +171,11 @@ def grid_conditional_quantile(params, cond_idx, cond_values, tau, *,
     raise ValueError("grid mass below 1 - 1e-6 after 3 expansions")
 
 
-def brute_force_loglik(model: MsTModel, panel) -> float:
-    """Exact log-likelihood by enumeration over all state paths.
+def _path_logprobs(model: MsTModel, panel):
+    """Every state path and its joint log-probability with the observations.
 
-    Independent oracle for the forward recursion; guarded at L^T <= 1e6.
+    Guarded at L^T <= 1e6 paths.
     """
-    y = panel.returns if isinstance(panel, ReturnPanel) else np.atleast_2d(
-        np.asarray(panel, dtype=float)
-    )
-    t_len = y.shape[0]
-    L = model.n_states
-    if L**t_len > 1_000_000:
-        raise ValueError(f"instance too large: {L}^{t_len} paths")
-    log_b = np.column_stack(
-        [_joint_logpdf(y, r.mu, r.sigma, r.nu) for r in model.regimes]
-    )
-    with np.errstate(divide="ignore"):
-        log_q = np.log(model.transition)
-        log_delta = np.log(model.initial)
-    terms = []
-    for path in itertools.product(range(L), repeat=t_len):
-        lp = log_delta[path[0]] + log_b[0, path[0]]
-        for t in range(1, t_len):
-            lp += log_q[path[t - 1], path[t]] + log_b[t, path[t]]
-        terms.append(lp)
-    return float(logsumexp(terms))
-
-
-def brute_force_posteriors(model: MsTModel, panel):
-    """(smoothed, pairwise) state posteriors by path enumeration."""
     y = panel.returns if isinstance(panel, ReturnPanel) else np.atleast_2d(
         np.asarray(panel, dtype=float)
     )
@@ -220,6 +196,22 @@ def brute_force_posteriors(model: MsTModel, panel):
         for t in range(1, t_len):
             lp += log_q[path[t - 1], path[t]] + log_b[t, path[t]]
         logp[n] = lp
+    return paths, logp
+
+
+def brute_force_loglik(model: MsTModel, panel) -> float:
+    """Exact log-likelihood by enumeration over all state paths.
+
+    Independent oracle for the forward recursion; guarded at L^T <= 1e6.
+    """
+    return float(logsumexp(_path_logprobs(model, panel)[1]))
+
+
+def brute_force_posteriors(model: MsTModel, panel):
+    """(smoothed, pairwise) state posteriors by path enumeration."""
+    paths, logp = _path_logprobs(model, panel)
+    t_len = len(paths[0])
+    L = model.n_states
     post = np.exp(logp - logsumexp(logp))
     smoothed = np.zeros((t_len, L))
     pairwise = np.zeros((t_len - 1, L, L))

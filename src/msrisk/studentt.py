@@ -91,32 +91,34 @@ def mvt_logpdf(x, p: MvtParams):
     return _logpdf_from_mahalanobis(mvt_mahalanobis(x, p), p)
 
 
+def _mvt_log_norm(nu, k, logdet=0.0):
+    """Log normalizing constant of the k-variate Student-t.
+
+    logdet is the log-determinant of the scale matrix (0 for the
+    standardized t).  The ratio Gamma((nu + k)/2) / Gamma(nu/2) is taken as
+    a Pochhammer symbol, which stays accurate for very large nu where a
+    difference of two gammaln values loses every digit.  Where the ratio
+    overflows (k of a few hundred) its log exceeds 709 and the gammaln
+    difference is used instead, which then loses nothing.
+    """
+    ratio = special.poch(0.5 * nu, 0.5 * k)
+    log_ratio = np.where(
+        np.isfinite(ratio), np.log(ratio),
+        special.gammaln(0.5 * (nu + k)) - special.gammaln(0.5 * nu),
+    )
+    return log_ratio - 0.5 * k * np.log(nu * np.pi) - 0.5 * logdet
+
+
 def _logpdf_from_mahalanobis(maha, p: MvtParams):
     """Log-density of the multivariate Student-t at points of Mahalanobis form maha."""
     k, nu = p.dim, p.nu
     logdet = 2.0 * np.sum(np.log(np.diag(p.chol)))
-    const = (
-        special.gammaln(0.5 * (nu + k))
-        - special.gammaln(0.5 * nu)
-        - 0.5 * k * np.log(nu * np.pi)
-        - 0.5 * logdet
-    )
-    return const - 0.5 * (nu + k) * np.log1p(maha / nu)
-
-
-def _t_log_norm(nu):
-    """Log normalizing constant of the standardized univariate Student-t.
-
-    The ratio Gamma((nu + 1)/2) / Gamma(nu/2) is taken as a Pochhammer
-    symbol, which stays accurate for very large nu where a difference of two
-    gammaln values loses every digit.
-    """
-    return np.log(special.poch(0.5 * nu, 0.5)) - 0.5 * np.log(nu * np.pi)
+    return _mvt_log_norm(nu, k, logdet) - 0.5 * (nu + k) * np.log1p(maha / nu)
 
 
 def _t_logpdf(z, nu):
     """Log-density of the standardized univariate Student-t."""
-    return _t_log_norm(nu) - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
+    return _mvt_log_norm(nu, 1) - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
 
 
 def t_cdf(z, nu):
@@ -274,7 +276,7 @@ def batched_mixture_quantile(weights, mu, scale, nu, tau):
     a = np.min(np.where(live, comp_q, np.inf), axis=1)
     b = np.max(np.where(live, comp_q, -np.inf), axis=1)
     x = np.clip(np.sum(w * comp_q, axis=1), a, b)
-    log_c = _t_log_norm(nu) - np.log(s)
+    log_c = _mvt_log_norm(nu, 1) - np.log(s)
     s_min = np.min(s, axis=1)
     last = b - a
     rows = np.flatnonzero(a < b)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,50 @@ class TestStats:
             main(["stats", "--out", str(tmp_path)])
 
 
+def json_numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from json_numbers(item)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+class TestEveryOutput:
+    TEXT_COLUMNS = {
+        "date", "name", "target", "distress_set", "measure", "chosen", "error",
+        "contributor", "conditioner",
+    }
+
+    def test_numbers_parse_and_are_finite(self, sim_dir, tmp_path):
+        panel_path = str(sim_dir / "panel.csv")
+        truth = str(sim_dir / "truth_model.json")
+        for argv in (
+            ["stats", "--input", panel_path],
+            ["select", "--input", panel_path, "--L-range", "1:2", "--restarts", "1"],
+            ["fit", "--input", panel_path, "--L", "2", "--restarts", "1"],
+            ["risk", "--input", panel_path, "--model", truth],
+            ["shapley", "--input", panel_path, "--model", truth, "--compare-standard"],
+        ):
+            assert main(argv + ["--out", str(tmp_path)]) == 0, argv[0]
+        outputs = sorted(sim_dir.iterdir()) + sorted(tmp_path.iterdir())
+        assert {p.name for p in outputs} >= {
+            "panel.csv", "truth_model.json", "summary.csv", "selection.csv",
+            "model.json", "smoothed.csv", "risk.csv", "attribution.csv",
+            "attribution.json", "standard_delta.csv",
+        }
+        for path in outputs:
+            if path.suffix == ".csv":
+                for row in read_rows(path):
+                    for column, cell in row.items():
+                        if column not in self.TEXT_COLUMNS:
+                            float(cell)
+            elif path.suffix == ".json":
+                numbers = list(json_numbers(json.loads(path.read_text())))
+                assert numbers and all(math.isfinite(x) for x in numbers), path.name
+
+
 class TestFitAndSelect:
     def test_fit_round_trip(self, sim_dir, tmp_path):
         code = main(
@@ -109,6 +154,14 @@ class TestFitAndSelect:
             float(r["state_1"]) + float(r["state_2"]) for r in rows
         ]
         np.testing.assert_allclose(sums, 1.0, atol=1e-10)
+
+    def test_bad_state_count_is_an_argument_error(self, sim_dir, tmp_path, capsys):
+        code = main(
+            ["fit", "--input", str(sim_dir / "panel.csv"), "--L", "0",
+             "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: L must be >= 1\n"
 
     def test_select_single_candidate(self, sim_dir, tmp_path):
         code = main(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.optimize import brentq
+from scipy.special import logsumexp
 from scipy.stats import t as tdist
 
 from msrisk import (
@@ -24,6 +25,7 @@ from msrisk import (
 )
 from msrisk.corisk import RiskQuery, conditional_mixture, write_risk_csv
 from msrisk.simulate import SimSpec
+from msrisk.studentt import condition_mvt, marginal_mvt, mvt_logpdf, univariate
 
 from helpers import (
     fit_from_model,
@@ -123,6 +125,24 @@ def oracle_bivariate_coes(weights, comps, target, tau1, tau2):
     return val / tau1
 
 
+def oracle_conditional_mixture(mix, target, cond_idx, cond_values):
+    """Per-component scalar conditioning loop: condition_mvt plus log-sum-exp weights."""
+    cond_idx = list(cond_idx)
+    cond_values = np.asarray(cond_values, dtype=float)
+    keep = [i for i in range(mix.dim) if i not in set(cond_idx)]
+    pos = keep.index(target)
+    log_w = np.empty(len(mix.components))
+    comps = []
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(mix.weights)
+    for l, comp in enumerate(mix.components):
+        log_w[l] = log_pi[l] + mvt_logpdf(cond_values, marginal_mvt(comp, cond_idx))
+        cond = condition_mvt(comp, cond_idx, cond_values)
+        comps.append(univariate(marginal_mvt(cond, [pos])))
+    weights = np.exp(log_w - logsumexp(log_w))
+    return weights / weights.sum(), comps
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -196,6 +216,46 @@ class TestMarginals:
         mix = random_mixture(rng, 2, 2)
         with pytest.raises(IndexError):
             marginal_var(mix, 2, 0.05)
+
+
+class TestConditionalMixture:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_scalar_loop(self, L, k):
+        rng = np.random.default_rng(1000 + 10 * L + k)
+        for _ in range(10):
+            mix = random_mixture(rng, L, k, scale=float(rng.uniform(0.5, 2.0)))
+            if L > 1:
+                w = mix.weights.copy()
+                w[rng.integers(L)] = 0.0
+                mix = PredictiveMixture(w / w.sum(), mix.components, horizon=1, as_of=0)
+            target = int(rng.integers(k))
+            others = rng.permutation([j for j in range(k) if j != target])
+            cond_idx = [int(j) for j in others[: rng.integers(1, k)]]
+            values = rng.normal(scale=2.0, size=len(cond_idx))
+            w, comps = conditional_mixture(mix, target, cond_idx, values)
+            w_ref, comps_ref = oracle_conditional_mixture(mix, target, cond_idx, values)
+            np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(w[mix.weights == 0.0], 0.0)
+            np.testing.assert_allclose(comps, comps_ref, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "target, cond_idx, values, error",
+        [
+            (0, [], [], ValueError),
+            (0, [0, 1], [0.1, 0.2], ValueError),
+            (0, [1, 1], [0.1, 0.2], ValueError),
+            (0, [1, 3], [0.1, 0.2], ValueError),
+            (0, [1, -1], [0.1, 0.2], ValueError),
+            (3, [1, 2], [0.1, 0.2], IndexError),
+            (0, [1, 2], [0.1], ValueError),
+            (0, [1, 2], [0.1, 0.2, 0.3], ValueError),
+        ],
+    )
+    def test_rejects_bad_conditioning(self, target, cond_idx, values, error):
+        mix = random_mixture(np.random.default_rng(1100), 2, 3)
+        with pytest.raises(error):
+            conditional_mixture(mix, target, cond_idx, values)
 
 
 class TestMultipleCovar:

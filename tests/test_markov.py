@@ -36,6 +36,7 @@ from msrisk.markov import (
     model_to_dict,
     save_model,
 )
+from msrisk.panel import ReturnPanel
 from msrisk.simulate import SimSpec
 
 from helpers import random_model, random_mvt
@@ -321,6 +322,17 @@ class TestEmFit:
         with pytest.raises(ValueError):
             em_fit(panel, 2, tol=-1.0)
 
+    def test_constant_series_named(self):
+        panel = simulated_panel(100, seed=111)
+        y = panel.returns.copy()
+        y[:, 1] = 0.01
+        flat = ReturnPanel(panel.dates, panel.names, y)
+        for fit in (em_fit, fit_restarts):
+            with pytest.raises(ValueError, match="series 's2' is constant"):
+                fit(flat, 2)
+            with pytest.raises(ValueError, match="column 1 is constant"):
+                fit(y, 2)
+
 
 class TestSolveNu:
     @staticmethod
@@ -435,6 +447,18 @@ class TestFitRestarts:
         assert seeds == [0, 1, 2, 3]
         assert best.loglik == max(f.loglik for f in fits.values())
         assert any(best is f for f in fits.values())
+
+    def test_argument_errors_raised_before_any_start(self, monkeypatch):
+        starts = []
+        monkeypatch.setattr(markov, "em_fit", lambda *a, **kw: starts.append(a))
+        panel = simulated_panel(300, seed=108)
+        with pytest.raises(ValueError, match="^L must be >= 1$"):
+            fit_restarts(panel, 0, n_restarts=3)
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            fit_restarts(panel, 2, n_restarts=3, tol=0.0)
+        with pytest.raises(ValueError, match="^fitting guard: T=20 < 10 p=30$"):
+            fit_restarts(simulated_panel(20, seed=108), 2, n_restarts=3)
+        assert starts == []
 
     def test_restart_count_guard(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,16 @@ class TestMvtLogpdf:
         with pytest.raises(ValueError):
             mvt_logpdf(np.zeros(3), p)
 
+    @pytest.mark.parametrize("k", [3, 300, 700])
+    @pytest.mark.parametrize("nu", [2.5, 200.0])
+    def test_wide_matches_scipy(self, k, nu):
+        # Gamma((nu + k)/2) / Gamma(nu/2) overflows a double from k of about 300 on.
+        rng = np.random.default_rng(k)
+        p = MvtParams(rng.normal(size=k), np.diag(rng.uniform(0.5, 2.0, size=k)), nu)
+        x = p.mu + rng.normal(size=(4, k))
+        expected = stats.multivariate_t(p.mu, p.sigma, df=nu).logpdf(x)
+        np.testing.assert_allclose(mvt_logpdf(x, p), expected, rtol=1e-12)
+
 
 class TestMvtMahalanobis:
     """The whitened quadratic form against a triangular-solve oracle."""
