@@ -2,8 +2,9 @@
 
 Subcommands: stats | select | fit | risk | shapley | simulate.
 Configuration is taken from flags, optionally seeded by a JSON file via
---config (flags override file entries).  Every output file is UTF-8
-CSV/JSON carrying a schema-version header.
+--config whose entries are parsed as flags placed before the command-line
+ones, so command-line flags override file entries.  Every output file is
+UTF-8 CSV/JSON carrying a schema-version header.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _add_common(sub):
 
 
 def _add_input(sub):
-    sub.add_argument("--input", help="panel CSV (first column ISO dates)")
+    sub.add_argument("--input", required=True, help="panel CSV (first column ISO dates)")
     sub.add_argument(
         "--prices", action="store_true",
         help="input holds prices; convert to log-returns",
@@ -93,24 +94,27 @@ def _build_parser():
     return parser
 
 
-def _apply_config(args, argv):
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            defaults = json.load(fh)
-        for key, value in defaults.items():
-            key = key.replace("-", "_")
-            opt = "--" + key.replace("_", "-")
-            # flags given on the command line win; the config file fills the
-            # rest
-            given = any(a == opt or a.startswith(opt + "=") for a in argv)
-            if hasattr(args, key) and not given:
-                setattr(args, key, value)
-    return args
+def _with_config(argv):
+    """argv with the --config file's entries as flags ahead of the command-line ones.
+
+    {"key": value} becomes --key=value and {"key": true} becomes --key, so
+    argparse checks them like any flag and a later command-line flag wins.
+    """
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return argv
+    with open(path, "r", encoding="utf-8") as fh:
+        entries = json.load(fh)
+    flags = [
+        "--" + key.replace("_", "-") + ("" if value is True else f"={value}")
+        for key, value in entries.items() if value is not False
+    ]
+    return argv[:1] + flags + argv[1:]
 
 
 def _load_panel(args) -> panel.ReturnPanel:
-    if not args.input:
-        raise SystemExit("--input is required")
     data = panel.load_csv(args.input)
     if args.prices:
         data = panel.prices_to_log_returns(data)
@@ -127,19 +131,10 @@ def cmd_stats(args) -> int:
     data = _load_panel(args)
     stats = panel.summary_stats(data, alpha=args.alpha)
     out = _outdir(args) / "summary.csv"
+    columns = ("minimum", "maximum", "mean", "std", "skewness", "kurtosis", "quantile", "jb")
     rows = [
-        (
-            stats.names[i],
-            repr(float(stats.minimum[i])),
-            repr(float(stats.maximum[i])),
-            repr(float(stats.mean[i])),
-            repr(float(stats.std[i])),
-            repr(float(stats.skewness[i])),
-            repr(float(stats.kurtosis[i])),
-            repr(float(stats.quantile[i])),
-            repr(float(stats.jb[i])),
-        )
-        for i in range(len(stats.names))
+        (name, *(repr(float(getattr(stats, c)[i])) for c in columns))
+        for i, name in enumerate(stats.names)
     ]
     _write_csv(
         out,
@@ -306,8 +301,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _build_parser().parse_args(argv)
-    args = _apply_config(args, argv)
+    args = _build_parser().parse_args(_with_config(argv))
     try:
         return _COMMANDS[args.command](args)
     except (panel.PanelError, ValueError, FileNotFoundError, RuntimeError) as exc:

@@ -3,8 +3,8 @@
 Forward-backward state inference by work-efficient odd-even scans of row
 vectors (about T matrix products up and T vector-matrix products down per
 direction; no T x L x L prefix array), ECM estimation with per-observation
-gamma-scale weights, expected transition counts and a safeguarded Newton
-solve for each degrees of freedom, information-criterion state-count
+gamma-scale weights, expected transition counts and one batched Newton
+solve for all degrees of freedom, information-criterion state-count
 selection, and JSON serialization of fitted models.  Per-time reductions
 over the short state axis are matrix-vector products or reductions over
 the leading axis of an L x T array.
@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .panel import ReturnPanel
-from .studentt import MvtParams, _logpdf_from_mahalanobis, mvt_mahalanobis
+from .studentt import MvtParams, _bracketed_newton, _logpdf_from_mahalanobis, mvt_mahalanobis
 
 NU_MIN = 2.1
 NU_MAX = 200.0
@@ -278,14 +278,20 @@ def param_count(L: int, p: int) -> int:
     return L * (p + p * (p + 1) // 2 + 1) + L * (L - 1) + (L - 1)
 
 
-def information_criteria(loglik: float, k: int, t_len: int):
-    """(AIC, BIC) = (-2 ll + 2k, -2 ll + k ln T)."""
+def _warn_small_sample(k: int, t_len: int):
     if t_len <= k:
-        warnings.warn(
-            f"sample size T={t_len} does not exceed parameter count k={k}",
-            stacklevel=2,
-        )
+        message = f"sample size T={t_len} does not exceed parameter count k={k}"
+        warnings.warn(message, stacklevel=3)
+
+
+def _criteria(loglik: float, k: int, t_len: int):
     return float(-2.0 * loglik + 2.0 * k), float(-2.0 * loglik + k * np.log(t_len))
+
+
+def information_criteria(loglik: float, k: int, t_len: int):
+    """(AIC, BIC) = (-2 ll + 2k, -2 ll + k ln T); warns when T <= k."""
+    _warn_small_sample(k, t_len)
+    return _criteria(loglik, k, t_len)
 
 
 def decompose_sigma(sigma):
@@ -346,48 +352,34 @@ def _initial_model(y, L, init, seed) -> MsTModel:
 
 
 def _solve_nu(c, nu_old, p):
-    """Root of the weighted digamma stationarity equation on [NU_MIN, NU_MAX].
+    """Roots of the weighted digamma stationarity equations on [NU_MIN, NU_MAX].
 
-    g(nu) = -psi(nu/2) + log(nu/2) + 1 + c + psi((nu_old+p)/2) - log((nu_old+p)/2)
-    is decreasing in nu, with g'(nu) = -psi'(nu/2)/2 + 1/nu < 0.  A bound is
-    returned when g does not change sign on the bracket; otherwise Newton
-    steps from nu_old, replaced by bisection of the shrinking sign bracket
-    whenever a step leaves it, stop once a step is below xtol = 1e-10.
+    One per entry of c and nu_old (one per regime), each decreasing in nu:
+    g(nu) = -psi(nu/2) + log(nu/2) + 1 + c + psi((nu_old+p)/2) - log((nu_old+p)/2),
+    g'(nu) = -psi'(nu/2)/2 + 1/nu < 0, with psi' = zeta(2, .).  A bound is
+    returned where g does not change sign on the bracket; the other entries
+    are solved together by _bracketed_newton on -g from nu_old, to 1e-10.
     """
-    xtol = 1e-10
+    c = np.atleast_1d(c)
     const = 1.0 + c + special.digamma(0.5 * (nu_old + p)) - np.log(0.5 * (nu_old + p))
 
-    def g(nu):
-        return -special.digamma(0.5 * nu) + np.log(0.5 * nu) + const
+    def minus_g(nu, rows):
+        value = special.digamma(0.5 * nu) - np.log(0.5 * nu) - const[rows]
+        return value, 0.5 * special.zeta(2.0, 0.5 * nu) - 1.0 / nu
 
-    if g(NU_MIN) <= 0.0:
-        return NU_MIN
-    if g(NU_MAX) >= 0.0:
-        return NU_MAX
-    lo, hi = NU_MIN, NU_MAX
-    nu = min(max(nu_old, lo), hi)
-    while hi - lo > xtol:
-        value = g(nu)
-        if value > 0.0:
-            lo = nu
-        else:
-            hi = nu
-        slope = -0.5 * special.polygamma(1, 0.5 * nu) + 1.0 / nu
-        step = nu - value / slope
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - nu) <= xtol:
-            return float(step)
-        nu = step
-    return float(0.5 * (lo + hi))
+    at_min = minus_g(np.full(c.shape, NU_MIN), slice(None))[0] >= 0.0
+    at_max = ~at_min & (minus_g(np.full(c.shape, NU_MAX), slice(None))[0] <= 0.0)
+    a = np.where(at_max, NU_MAX, NU_MIN)
+    b = np.where(at_min, NU_MIN, NU_MAX)
+    return _bracketed_newton(minus_g, np.clip(nu_old, a, b), a, b, 1e-10)
 
 
 def _m_step(y, model, smoothed, counts, maha):
+    """One ECM M-step: moments per regime, then one conditioning check and one nu solve."""
     t_len, p = y.shape
     L = model.n_states
-    regimes = []
-    for l in range(L):
-        reg = model.regimes[l]
+    mus, sigmas, c = [], np.empty((L, p, p)), np.empty(L)
+    for l, reg in enumerate(model.regimes):
         gam = smoothed[:, l]
         n_l = gam.sum()
         if n_l < p + 2:
@@ -399,21 +391,21 @@ def _m_step(y, model, smoothed, counts, maha):
         mu = (w @ y) / w.sum()
         dev = y - mu
         sigma = (w[:, None] * dev).T @ dev / n_l
-        sigma = 0.5 * (sigma + sigma.T)
-        if np.linalg.cond(sigma) > 1e12:
-            sigma += (1e-8 * np.trace(sigma) / p) * np.eye(p)
-        c = float(gam @ (np.log(u) - u) / n_l)
-        nu = _solve_nu(c, reg.nu, p)
-        regimes.append(MvtParams(mu, sigma, nu))
-
-    if L == 1:
-        q = np.array([[1.0]])
-    else:
-        rows = counts.sum(axis=1, keepdims=True)
-        rows[rows <= 0.0] = 1.0
-        q = counts / rows
-        q = np.clip(q, 0.0, 1.0)
-        q /= q.sum(axis=1, keepdims=True)
+        sigmas[l] = 0.5 * (sigma + sigma.T)
+        mus.append(mu)
+        c[l] = gam @ (np.log(u) - u) / n_l
+    # Condition number above 1e12, as the eigenvalue ratio of a symmetric
+    # matrix; a rounding-negative smallest eigenvalue counts as singular.
+    eig = np.linalg.eigvalsh(sigmas)
+    for l in np.flatnonzero(eig[:, -1] > 1e12 * eig[:, 0]):
+        sigmas[l] += (1e-8 * np.trace(sigmas[l]) / p) * np.eye(p)
+    nus = _solve_nu(c, np.array([r.nu for r in model.regimes]), p)
+    regimes = [MvtParams(mu, sigma, nu) for mu, sigma, nu in zip(mus, sigmas, nus)]
+    # A one-state chain has counts [[T - 1]], so q is [[1.0]] exactly.
+    rows = counts.sum(axis=1, keepdims=True)
+    rows[rows <= 0.0] = 1.0
+    q = np.clip(counts / rows, 0.0, 1.0)
+    q /= q.sum(axis=1, keepdims=True)
     delta = np.clip(smoothed[0], 0.0, 1.0)
     delta /= delta.sum()
     return MsTModel(regimes, q, delta)
@@ -502,13 +494,14 @@ def fit_restarts(panel, L, n_restarts=1, seed=0, *, tol=1e-8, max_iter=2000) -> 
 
     The first start is the deterministic PCA-block initialization; later
     starts use seeded nearest-center assignments.  Arguments are checked
-    before any start runs.  Starts that collapse, whose log-likelihood
-    decreases or that fail numerically are skipped; if every start fails, a
-    RuntimeError names the last error.
+    before any start runs, and T <= k (free parameters) warns once.  Starts
+    that collapse, whose log-likelihood decreases or that fail numerically
+    are skipped; if every start fails, a RuntimeError names the last error.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    _fit_observations(panel, L, tol)
+    t_len, p = _fit_observations(panel, L, tol).shape
+    _warn_small_sample(param_count(L, p), t_len)
     best = None
     last_error = None
     for r in range(n_restarts):
@@ -533,16 +526,15 @@ def select_L(panel, L_range, criterion="aic", *, n_restarts=3, seed=0, tol=1e-8,
              max_iter=2000) -> SelectionTable:
     """Fit each candidate state count and pick the criterion minimizer.
 
-    Fit failures are recorded per row and excluded from the choice instead
-    of aborting the sweep.
+    The data and every candidate are checked once, before the sweep; fit
+    failures are recorded per row and excluded from the choice.
     """
     L_range = list(L_range)
     if not L_range:
         raise ValueError("empty L range")
     if criterion not in ("aic", "bic"):
         raise ValueError("criterion must be 'aic' or 'bic'")
-    y = _observations(panel)
-    t_len, p = y.shape
+    t_len, p = _fit_observations(panel, min(L_range), tol).shape
     rows = []
     for L in L_range:
         k = param_count(L, p)
@@ -550,10 +542,10 @@ def select_L(panel, L_range, criterion="aic", *, n_restarts=3, seed=0, tol=1e-8,
             fit = fit_restarts(
                 panel, L, n_restarts=n_restarts, seed=seed, tol=tol, max_iter=max_iter
             )
-        except (RuntimeError, ValueError) as exc:
+        except RuntimeError as exc:
             rows.append(SelectionRow(L, np.nan, k, np.nan, np.nan, error=str(exc)))
             continue
-        aic, bic = information_criteria(fit.loglik, k, t_len)
+        aic, bic = _criteria(fit.loglik, k, t_len)  # fit_restarts warned for T <= k
         rows.append(SelectionRow(L, fit.loglik, k, aic, bic))
     usable = [r for r in rows if not r.error]
     if not usable:

@@ -221,10 +221,8 @@ def univariate(p: MvtParams):
 
 def _mixture_arrays(weights, comps):
     w = np.asarray(weights, dtype=float)
-    comps = [(float(m), float(s), float(n)) for (m, s, n) in comps]
-    mus = np.array([c[0] for c in comps])
-    sigmas = np.array([c[1] for c in comps])
-    nus = np.array([c[2] for c in comps])
+    rows = [(float(m), float(s), float(n)) for (m, s, n) in comps]
+    mus, sigmas, nus = np.array(rows).reshape(-1, 3).T
     if w.shape != mus.shape:
         raise ValueError("weights and components disagree in length")
     if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-10:
@@ -257,6 +255,38 @@ def _rows(weights, mu, scale, nu, point):
 _MAX_STEPS = 200
 
 
+def _bracketed_newton(fun, x, a, b, xtol):
+    """Roots of increasing functions, one per row, by safeguarded Newton steps.
+
+    fun(x, rows) gives values and slopes at x of the rows indexed by rows.
+    Row i starts at x[i] in [a[i], b[i]]; a row with a == b keeps its x.  The
+    bracket shrinks to the sign change and is bisected when a Newton step
+    leaves it or fails to halve the previous step.  A row stops once its
+    step or bracket is within 4 eps |x| + xtol (scalar or per row).
+    """
+    x, a, b = (np.array(v, dtype=float) for v in (x, a, b))
+    xtol = np.broadcast_to(xtol, x.shape)
+    last = b - a
+    rows = np.flatnonzero(a < b)
+    for _ in range(_MAX_STEPS):
+        if rows.size == 0:
+            return x
+        xr = x[rows]
+        g, slope = fun(xr, rows)
+        ar = np.where(g < 0.0, xr, a[rows])
+        br = np.where(g > 0.0, xr, b[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / slope
+            new = xr - step
+        tol = 4.0 * EPS * np.abs(xr) + xtol[rows]
+        done = (g == 0.0) | (np.abs(step) <= tol)
+        newton = done | (new > ar) & (new < br) & (np.abs(step) <= 0.5 * last[rows])
+        new = np.where(newton, new, ar + 0.5 * (br - ar))
+        a[rows], b[rows], x[rows], last[rows] = ar, br, new, np.abs(new - xr)
+        rows = rows[~done & (br - ar > tol)]
+    raise RuntimeError(f"bracketed Newton: {rows.size} rows did not converge")
+
+
 def batched_mixture_quantile(weights, mu, scale, nu, tau):
     """tau-quantiles of univariate t mixtures, one per row of (..., L) arrays.
 
@@ -265,43 +295,26 @@ def batched_mixture_quantile(weights, mu, scale, nu, tau):
     of freedom, tau in (0, 1).  The root of sum_l w_l F_l((x - mu_l)/s_l)
     = tau lies between the smallest and the largest component tau-quantile
     among components of positive weight, since every component CDF is at
-    most tau at the former and at least tau at the latter.  Safeguarded
-    Newton steps on that bracket fall back to bisection whenever a step
-    leaves it or fails to halve the previous step.  Rows never mix, so equal
-    rows give equal quantiles.
+    most tau at the former and at least tau at the latter.  Rows are solved
+    there by _bracketed_newton, to 4 eps (|x| + smallest scale), and never
+    mix, so equal rows give equal quantiles.
     """
     shape, (w, mu, s, nu), tau = _rows(weights, mu, scale, nu, tau)
     comp_q = mu + s * special.stdtrit(nu, tau[:, None])
     live = w > 0.0
     a = np.min(np.where(live, comp_q, np.inf), axis=1)
     b = np.max(np.where(live, comp_q, -np.inf), axis=1)
-    x = np.clip(np.sum(w * comp_q, axis=1), a, b)
     log_c = _mvt_log_norm(nu, 1) - np.log(s)
-    s_min = np.min(s, axis=1)
-    last = b - a
-    rows = np.flatnonzero(a < b)
-    for _ in range(_MAX_STEPS):
-        if rows.size == 0:
-            return x.reshape(shape)
+
+    def cdf_and_density(x, rows):
         wr, mr, sr, nr = w[rows], mu[rows], s[rows], nu[rows]
-        xr = x[rows]
-        z = (xr[:, None] - mr) / sr
-        g = np.sum(wr * special.stdtr(nr, z), axis=1) - tau[rows]
-        dens = np.sum(
-            wr * np.exp(log_c[rows] - 0.5 * (nr + 1.0) * np.log1p(z * z / nr)), axis=1
-        )
-        ar = np.where(g < 0.0, xr, a[rows])
-        br = np.where(g > 0.0, xr, b[rows])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = g / dens
-            new = xr - step
-        tol = 4.0 * EPS * (np.abs(xr) + s_min[rows])
-        done = (g == 0.0) | (np.abs(step) <= tol)
-        newton = done | (new > ar) & (new < br) & (np.abs(step) <= 0.5 * last[rows])
-        new = np.where(newton, new, ar + 0.5 * (br - ar))
-        a[rows], b[rows], x[rows], last[rows] = ar, br, new, np.abs(new - xr)
-        rows = rows[~done & (br - ar > tol)]
-    raise RuntimeError(f"mixture quantile: {rows.size} rows did not converge")
+        z = (x[:, None] - mr) / sr
+        dens = wr * np.exp(log_c[rows] - 0.5 * (nr + 1.0) * np.log1p(z * z / nr))
+        return np.sum(wr * special.stdtr(nr, z), axis=1) - tau[rows], np.sum(dens, axis=1)
+
+    x = np.clip(np.sum(w * comp_q, axis=1), a, b)
+    q = _bracketed_newton(cdf_and_density, x, a, b, 4.0 * EPS * np.min(s, axis=1))
+    return q.reshape(shape)
 
 
 def batched_mixture_truncated_mean(weights, mu, scale, nu, cutoff):

@@ -177,6 +177,21 @@ class TestFitAndSelect:
         )
 
 
+    def test_select_names_constant_series(self, sim_dir, tmp_path, capsys):
+        rows = (sim_dir / "panel.csv").read_text().splitlines()
+        flat = rows[:2] + [line.rsplit(",", 1)[0] + ",0.5" for line in rows[2:]]
+        panel_path = tmp_path / "flat.csv"
+        panel_path.write_text("\n".join(flat) + "\n")
+        code = main(
+            ["select", "--input", str(panel_path), "--L-range", "1:2",
+             "--restarts", "1", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: series 's2' is constant (zero variance) and cannot be fitted\n"
+        )
+
+
 class TestRisk:
     def test_risk_from_truth_model(self, sim_dir, tmp_path):
         code = main(
@@ -282,3 +297,42 @@ class TestConfig:
         )
         assert code == 0
         assert "quantile_0.2" in read_rows(tmp_path / "summary.csv")[0]
+
+    def test_abbreviated_flag_beats_config(self, sim_dir, tmp_path, monkeypatch):
+        from msrisk import markov
+
+        restarts = []
+        original = markov.fit_restarts
+
+        def recording(panel, L, n_restarts=1, **kwargs):
+            restarts.append(n_restarts)
+            return original(panel, L, n_restarts=n_restarts, **kwargs)
+
+        monkeypatch.setattr(markov, "fit_restarts", recording)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"restarts": 1}))
+        code = main(
+            ["fit", "--config", str(config), "--input", str(sim_dir / "panel.csv"),
+             "--L", "2", "--restart", "2", "--out", str(tmp_path)]
+        )
+        assert code == 0 and restarts == [2]
+
+    def test_config_supplies_required_flag(self, sim_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "L": 2, "input": str(sim_dir / "panel.csv"), "restarts": 1,
+        }))
+        code = main(["fit", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 0
+        model, _ = load_model(tmp_path / "model.json")
+        assert model.n_states == 2
+
+    def test_unknown_key_named(self, sim_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 0.1, "bogus_key": 3}))
+        with pytest.raises(SystemExit):
+            main(
+                ["stats", "--config", str(config),
+                 "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path)]
+            )
+        assert "--bogus-key=3" in capsys.readouterr().err

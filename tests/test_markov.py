@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from msrisk.markov import (
 )
 from msrisk.panel import ReturnPanel
 from msrisk.simulate import SimSpec
+from msrisk.studentt import mvt_mahalanobis
 
 from helpers import random_model, random_mvt
 
@@ -373,6 +375,45 @@ class TestSolveNu:
         assert result.returncode == 0, result.stderr[-2000:]
 
 
+class TestBatchedSolveNu:
+    def test_mixed_batch_matches_brentq(self):
+        rng = np.random.default_rng(140)
+        for p in (1, 3, 5):
+            c = rng.uniform(-1.6, -0.95, 600)
+            nu_old = np.exp(rng.uniform(np.log(NU_MIN), np.log(NU_MAX), 600))
+            nu = _solve_nu(c, nu_old, p)
+            oracle = [TestSolveNu.brentq_nu(*args, p) for args in zip(c, nu_old)]
+            np.testing.assert_allclose(nu, oracle, rtol=0.0, atol=2e-10)
+            assert np.any(nu == NU_MIN) and np.any(nu == NU_MAX)
+            assert np.sum((nu > NU_MIN) & (nu < NU_MAX)) > 300
+
+
+class TestMStepRidge:
+    @staticmethod
+    def weighted_sigma(y, reg):
+        p = y.shape[1]
+        u = (reg.nu + p) / (reg.nu + mvt_mahalanobis(y, reg))
+        dev = y - (u @ y) / u.sum()
+        sigma = (u[:, None] * dev).T @ dev / len(y)
+        return 0.5 * (sigma + sigma.T)
+
+    @pytest.mark.parametrize("noise", [1e-9, 1.0])
+    def test_near_collinear_sigma_gets_ridge(self, noise):
+        rng = np.random.default_rng(141)
+        x = rng.standard_t(5.0, size=300)
+        y = np.column_stack([x, x + noise * rng.normal(size=300)])
+        reg = MvtParams([0.0, 0.0], np.eye(2), 8.0)
+        model = MsTModel([reg], np.array([[1.0]]), [1.0])
+        maha = mvt_mahalanobis(y, reg)[:, None]
+        new = markov._m_step(y, model, np.ones((300, 1)), np.array([[299.0]]), maha)
+        sigma = self.weighted_sigma(y, reg)
+        collinear = np.linalg.cond(sigma) > 1e12
+        assert collinear == (noise < 1e-3)
+        if collinear:
+            sigma = sigma + 1e-8 * np.trace(sigma) / 2 * np.eye(2)
+        np.testing.assert_allclose(new.regimes[0].sigma, sigma, rtol=1e-12, atol=0.0)
+
+
 class TestRawArrayValidation:
     """Raw arrays skip ReturnPanel, so the markov entry points check them."""
 
@@ -500,6 +541,33 @@ class TestSelectL:
     def test_empty_range(self):
         with pytest.raises(ValueError):
             select_L(simulated_panel(300, seed=114), [])
+
+    def test_data_checked_once_before_sweep(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(markov, "fit_restarts", lambda *a, **kw: fits.append(a))
+        y = np.random.default_rng(115).normal(size=(100, 2))
+        y[:, 1] = 0.25
+        with pytest.raises(ValueError, match="^column 1 is constant"):
+            select_L(y, [1, 2])
+        with pytest.raises(ValueError, match="^fitting guard: T=15 < 10 p=20$"):
+            select_L(y[:15, :], [1, 2])
+        with pytest.raises(ValueError, match="^L must be >= 1$"):
+            select_L(simulated_panel(300, seed=115), [0, 1])
+        assert fits == []
+
+    def test_small_sample_warns_once_per_fitted_l(self):
+        # p=3: k=10 for L=1 and k=38 for L=3, against T=36.
+        panel = simulated_panel(36, seed=120)
+        for call in (
+            lambda: select_L(panel, [1, 3], n_restarts=2),
+            lambda: fit_restarts(panel, 3, n_restarts=2),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [str(w.message) for w in caught] == [
+                "sample size T=36 does not exceed parameter count k=38"
+            ]
 
 
 class TestDecomposeSigma:

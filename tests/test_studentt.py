@@ -15,6 +15,7 @@ from msrisk import (
     t_quantile,
 )
 from msrisk.studentt import (
+    _bracketed_newton,
     mixture_cdf,
     mixture_truncated_mean,
     mvt_mahalanobis,
@@ -298,6 +299,23 @@ class TestMixtureQuantile:
             mixture_quantile([1.0], [(0.0, -1.0, 5.0)], 0.5)
         with pytest.raises(ValueError):
             mixture_quantile([1.0], [(0.0, 1.0, 5.0)], 1.0)
+
+
+class TestBracketedNewton:
+    def test_solved_rows_untouched(self):
+        seen = []
+
+        def line(x, rows):
+            seen.append(rows.tolist())
+            return x - 1.0, np.ones_like(x)
+
+        x = np.array([0.5, 7.0, -3.0, 1.5])
+        a = np.array([0.0, 2.0, -3.0, 1.0])
+        b = np.array([2.0, 2.0, -3.0, 3.0])
+        root = _bracketed_newton(line, x, a, b, 1e-12)
+        np.testing.assert_array_equal(root, [1.0, 7.0, -3.0, 1.0])
+        assert seen and all(set(rows) <= {0, 3} for rows in seen)
+        np.testing.assert_array_equal(x, [0.5, 7.0, -3.0, 1.5])
 
 
 class TestMixtureEs:
