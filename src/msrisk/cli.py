@@ -106,7 +106,12 @@ def _with_config(argv):
     if not path:
         return argv
     with open(path, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
+        try:
+            entries = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(entries, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
     flags = [
         "--" + key.replace("_", "-") + ("" if value is True else f"={value}")
         for key, value in entries.items() if value is not False
@@ -301,10 +306,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _build_parser().parse_args(_with_config(argv))
     try:
+        args = _build_parser().parse_args(_with_config(argv))
         return _COMMANDS[args.command](args)
-    except (panel.PanelError, ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (panel.PanelError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,9 @@
 """L-state multivariate Student-t Markov-switching model.
 
-Forward-backward state inference by work-efficient odd-even scans of row
-vectors (about T matrix products up and T vector-matrix products down per
-direction; no T x L x L prefix array), ECM estimation with per-observation
+Forward-backward state inference by one work-efficient odd-even scan that
+serves both directions (about T matrix products up, then T vector-matrix
+products down for the forward rows and T for the backward columns; no
+T x L x L prefix array), ECM estimation with per-observation
 gamma-scale weights, expected transition counts and one batched Newton
 solve for all degrees of freedom, information-criterion state-count
 selection, and JSON serialization of fitted models.  Per-time reductions
@@ -139,81 +140,85 @@ def _log_emissions(model: MsTModel, y: np.ndarray):
 
 
 def _scan_rows(seed, m):
-    """Row vectors seed @ m[0] @ ... @ m[t-1], t = 0..len(m), each scaled to unit sum.
+    """Prefix rows and suffix columns of a stack, each scaled to unit sum.
 
-    m is a stack of non-negative L x L matrices.  Work-efficient odd-even
-    scan (Ladner & Fischer 1980): the up-sweep multiplies adjacent pairs
-    m[0] m[1], m[2] m[3], ... (about T matrix products over all levels) and
-    scans the half-length stack of pair products for the even-indexed rows;
-    the down-sweep fills each odd-indexed row as the row before it times
-    one matrix of the stack, a batched vector-matrix product (about T over
-    all levels).  No stack of prefix matrices is built.  Every pair product
-    and every row is divided by the sum of its entries and the log of that
-    sum is carried, so the true row is rows[t] * exp(log_scale[t]).  All
-    entries are non-negative, so nothing cancels and the relative error
-    grows only with the depth.  Returns (rows, log_scale) of shapes
-    (len(m) + 1) x L and len(m) + 1.
+    m is a stack of N non-negative L x L matrices.  Returns (rows,
+    log_scale, cols) of shapes (N + 1) x L, N + 1 and (N + 1) x L: rows[t]
+    is the row seed @ m[0] @ ... @ m[t-1] and cols[t] the column
+    m[t] @ ... @ m[N-1] @ 1, both divided by the sum of their entries; the
+    true row is rows[t] * exp(log_scale[t]).  Work-efficient odd-even scan
+    (Ladner & Fischer 1980) with one up-sweep for both directions: the
+    up-sweep multiplies adjacent pairs m[0] m[1], m[2] m[3], ... (about N
+    matrix products over all levels), and the scan of that half-length stack
+    gives the even-indexed rows and columns.  Two down-sweeps then fill the
+    odd-indexed ones: row 2k+1 is row 2k times m[2k], column 2k+1 is m[2k+1]
+    times column 2k+2, one batched vector-matrix product each (about N per
+    direction over all levels).  On an odd-length level the unpaired last
+    matrix times the level's tail column becomes the tail column of the pair
+    level.  No stack of prefix or suffix matrices is built.  Every pair
+    product, row and column is divided by the sum of its entries; only the
+    rows carry the log of that sum.  All entries are non-negative, so nothing
+    cancels and the relative error grows only with the depth.
     """
     n = len(seed)
     ones = np.ones(n)
     pair_ones = np.ones(n * n)
 
-    def scan(m, m_log):
-        # m_log[k] is the log of the factor divided out of m[k].
+    def scan(m, m_log, tail):
+        # m_log[k] is the log of the factor divided out of m[k]; tail is the
+        # unit-sum column that m[-1] multiplies.
         if len(m) == 0:
             total = seed.sum()
-            return (seed / total)[None], np.array([np.log(total)])
+            return (seed / total)[None], np.array([np.log(total)]), tail[None]
         pairs = np.matmul(m[0:-1:2], m[1::2])
         pair_total = pairs.reshape(len(pairs), n * n) @ pair_ones
         pairs /= pair_total[:, None, None]
-        even, even_log = scan(pairs, np.log(pair_total) + m_log[0:-1:2] + m_log[1::2])
+        pair_tail = tail
+        if len(m) % 2:
+            pair_tail = m[-1] @ tail
+            pair_tail /= pair_tail @ ones
+        even, even_log, even_cols = scan(
+            pairs, np.log(pair_total) + m_log[0:-1:2] + m_log[1::2], pair_tail
+        )
         n_odd = (len(m) + 1) // 2
         odd = np.einsum("ti,tij->tj", even[:n_odd], m[0::2])
         odd_total = odd @ ones
+        odd_cols = np.einsum("tij,tj->ti", m[1::2], even_cols[1:])
         rows = np.empty((len(m) + 1, n))
         log_scale = np.empty(len(m) + 1)
+        cols = np.empty((len(m) + 1, n))
         rows[0::2] = even
         rows[1::2] = odd / odd_total[:, None]
         log_scale[0::2] = even_log
         log_scale[1::2] = even_log[:n_odd] + np.log(odd_total) + m_log[0::2]
-        return rows, log_scale
+        cols[0::2] = even_cols
+        cols[1:-1:2] = odd_cols / (odd_cols @ ones)[:, None]
+        cols[-1] = tail
+        return rows, log_scale, cols
 
-    return scan(m, np.zeros(len(m)))
-
-
-def _filter(model: MsTModel, y: np.ndarray):
-    """Forward pass: (loglik, filtered, shifted emissions, Mahalanobis forms).
-
-    With emissions shifted by their per-time maximum, b_t = exp(log b_t -
-    shift_t) (an L x T array), the forward variable is the row scan
-    alpha_t = (delta * b_0) @ m[1] @ ... @ m[t] of the stack
-    m[t] = Q diag(b_t), t = 1..T-1.
-    """
-    log_b, maha = _log_emissions(model, y)
-    shift = log_b.max(axis=0)
-    b = np.exp(log_b - shift)
-    m = model.transition * b.T[1:, None, :]
-    filtered, log_scale = _scan_rows(model.initial * b[:, 0], m)
-    loglik = float(log_scale[-1] + shift.sum())
-    return loglik, filtered, b, maha
+    return scan(m, np.zeros(len(m)), ones / n)
 
 
 def _forward_backward(model: MsTModel, y: np.ndarray):
     """State posteriors: (loglik, smoothed, filtered, successor, mahalanobis).
 
-    Both directions are row scans (no loop over T).  The backward variable
-    beta_t = m[t+1] @ ... @ m[T-1] @ 1 is, transposed, the row scan of the
-    reversed stack of transposes m[t].T = diag(b_t) Q.T seeded with ones;
-    its arbitrary scale cancels in every posterior.
-    successor[t] = (b * beta)[t+1] / z_t with
+    With emissions shifted by their per-time maximum, b_t = exp(log b_t -
+    shift_t), the forward variable is the row
+    alpha_t = (delta * b_0) @ m[1] @ ... @ m[t] and the backward variable the
+    column beta_t = m[t+1] @ ... @ m[T-1] @ 1 of the one stack
+    m[t] = Q diag(b_t), t = 1..T-1, both from a single _scan_rows call (no
+    loop over T).  beta is scaled to unit sum; its scale cancels in every
+    posterior.  successor[t] = (b * beta)[t+1] / z_t with
     z_t = sum_j (alpha_t Q)_j (b * beta)[t+1, j], so that
     P(S_t = i, S_{t+1} = j | I_T) = alpha_t,i Q_ij successor[t, j].
     """
-    loglik, filtered, b, maha = _filter(model, y)
+    log_b, maha = _log_emissions(model, y)
+    shift = log_b.max(axis=0)
+    b = np.exp(log_b - shift).T
+    m = model.transition * b[1:, None, :]
+    filtered, log_scale, beta = _scan_rows(model.initial * b[0], m)
+    loglik = float(log_scale[-1] + shift.sum())
     ones = np.ones(model.n_states)
-    b = b.T
-    beta, _ = _scan_rows(ones, b[:0:-1, :, None] * model.transition.T)
-    beta = beta[::-1]
     post = filtered * beta
     smoothed = post / (post @ ones)[:, None]
     ahead = b[1:] * beta[1:]
@@ -243,8 +248,8 @@ def _model_observations(model: MsTModel, panel) -> np.ndarray:
 
 
 def forward_loglik(model: MsTModel, panel) -> float:
-    """Log-likelihood of the panel under the model, from the scaled forward pass."""
-    return _filter(model, _model_observations(model, panel))[0]
+    """Log-likelihood of the panel under the model, from the forward rows' log scales."""
+    return _forward_backward(model, _model_observations(model, panel))[0]
 
 
 def smooth(model: MsTModel, panel):

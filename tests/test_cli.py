@@ -327,6 +327,28 @@ class TestConfig:
         model, _ = load_model(tmp_path / "model.json")
         assert model.n_states == 2
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file"),
+            ("dir", "Is a directory"),
+            ('{"alpha": 0.1,', "not valid JSON"),
+            ("[1, 2]", "JSON object"),
+        ],
+    )
+    def test_bad_config_file_is_an_error(self, sim_dir, tmp_path, capsys, content, message):
+        config = tmp_path / "config.json"
+        if content == "dir":
+            config.mkdir()
+        elif content is not None:
+            config.write_text(content)
+        code = main(
+            ["stats", "--config", str(config),
+             "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and message in err
+
     def test_unknown_key_named(self, sim_dir, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"alpha": 0.1, "bogus_key": 3}))

@@ -176,7 +176,7 @@ def sequential_e_step(model, y):
 
 
 class TestScanRows:
-    """The row scan against sequential vector-matrix products."""
+    """The two-sided scan against sequential vector-matrix products."""
 
     @staticmethod
     def stack(rng, n_mat, L):
@@ -196,7 +196,7 @@ class TestScanRows:
         seed = 10.0 ** rng.uniform(-5.0, 5.0, size=L)
         if L > 1:
             seed[0] = 0.0
-        rows, log_scale = _scan_rows(seed, m)
+        rows, log_scale, cols = _scan_rows(seed, m)
         assert rows.shape == (n_mat + 1, L) and log_scale.shape == (n_mat + 1,)
         row, log_total = seed, 0.0
         for t in range(n_mat + 1):
@@ -207,6 +207,13 @@ class TestScanRows:
             log_total += np.log(total)
             np.testing.assert_allclose(rows[t], row, rtol=0, atol=1e-10)
             assert abs(log_scale[t] - log_total) <= 1e-10 * max(1.0, abs(log_total))
+        assert cols.shape == (n_mat + 1, L)
+        col = np.ones(L)
+        for t in range(n_mat, -1, -1):
+            if t < n_mat:
+                col = m[t] @ col
+            col = col / col.sum()
+            np.testing.assert_allclose(cols[t], col, rtol=0, atol=1e-10)
 
 
 class TestScanOracle:

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 from scipy.optimize import brentq
 
@@ -18,6 +19,7 @@ from msrisk import (
     t_quantile,
     total_risk_series,
 )
+from msrisk.markov import _scan_rows
 from msrisk.studentt import (
     batched_mixture_quantile,
     condition_mvt,
@@ -219,3 +221,22 @@ def test_batched_quantile_is_mixture_cdf_root(L, n, identical, data):
         assert abs(mixture_quantile(w[r], comps, tau[r]) - q[r]) <= 1e-12 * (1.0 + abs(q[r]))
         if identical:
             assert q[r] == mus[r, 0] + sds[r, 0] * t_quantile(tau[r], nus[r, 0])
+
+
+# Exact zeros or entries in [1e-3, 1], so that no product of up to 64
+# matrices nears the subnormal range, where relative precision is lost.
+stack_entries = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=st.integers(min_value=1, max_value=5), n=st.integers(min_value=0, max_value=64),
+       data=st.data())
+def test_scan_columns_match_reversed_transposed_row_scan(L, n, data):
+    m = data.draw(hnp.arrays(float, (n, L, L), elements=stack_entries))
+    diag = np.arange(L)
+    m[:, diag, diag] = data.draw(
+        hnp.arrays(float, (n, L), elements=st.floats(min_value=1e-3, max_value=1.0))
+    )
+    _, _, cols = _scan_rows(np.ones(L), m)
+    old = _scan_rows(np.ones(L), m[::-1].transpose(0, 2, 1))[0][::-1]
+    np.testing.assert_allclose(cols, old, rtol=1e-12, atol=0)
