@@ -98,20 +98,20 @@ def shapley(cmap: CharacteristicMap) -> ShapleyReport:
     )
 
 
-def _delta_values(engine: CoRiskEngine, target: int, measure: str, tau1: float,
+def _delta_values(engine: CoRiskEngine, targets, measure: str, tau1: float,
                   tau2: float) -> np.ndarray:
-    """T x 2^(p-1) Delta measure of target for every coalition of the others.
+    """T x P x 2^(p-1) Delta measure of each target for every coalition of its others.
 
-    Column m is the coalition of the set bits of m over the other series in
-    ascending order; column 0, the baseline, is exactly 0.
+    Column m is the coalition of the set bits of m over the target's other
+    series in ascending order; column 0, the baseline, is exactly 0.
     """
     n = engine.dim - 1
     if n > MAX_PLAYERS:
         raise ValueError(
             f"{n} contributors exceed the exact-enumeration guard of {MAX_PLAYERS}"
         )
-    values = engine.coalition_values(target, measure, tau1, tau2, coalition_masks(n))
-    return values - values[:, :1]
+    values = engine.coalition_values(targets, (measure,), tau1, tau2, coalition_masks(n))[:, 0]
+    return values - values[..., :1]
 
 
 def characteristic_values(mix: PredictiveMixture, target: int, measure: str = "covar",
@@ -125,7 +125,7 @@ def characteristic_values(mix: PredictiveMixture, target: int, measure: str = "c
     if measure not in MEASURES:
         raise ValueError("measure must be 'covar' or 'coes'")
     engine = CoRiskEngine.from_mixture(mix)
-    delta = _delta_values(engine, target, measure, tau1, tau2)[0]
+    delta = _delta_values(engine, (target,), measure, tau1, tau2)[0, 0]
     players = tuple(j for j in range(mix.dim) if j != target)
     values = {
         frozenset(j for j, m in zip(players, row) if m): float(v)
@@ -160,21 +160,21 @@ def attribution_series(fit: FitResult, measure: str = "covar", tau1: float = 0.0
     """Shapley attribution at every in-sample time index.
 
     Emits one share series per (target, contributor) pair plus the
-    grand-coalition Delta per target.
+    grand-coalition Delta per target.  Every coalition of every target and
+    date is one co-risk engine call.
     """
     if measure not in MEASURES:
         raise ValueError("measure must be 'covar' or 'coes'")
     engine = CoRiskEngine.from_fit(fit, h, probs)
     p = engine.dim
     targets = tuple(range(p)) if targets is None else tuple(targets)
+    delta = _delta_values(engine, targets, measure, tau1, tau2)
+    by_player = _shapley_shares(delta, p - 1)
     shares, grand = {}, {}
-    for i in targets:
-        delta = _delta_values(engine, i, measure, tau1, tau2)
-        players = [j for j in range(p) if j != i]
-        by_player = _shapley_shares(delta, len(players))
-        grand[i] = delta[:, -1]
-        for k, j in enumerate(players):
-            shares[(i, j)] = by_player[:, k]
+    for n, i in enumerate(targets):
+        grand[i] = delta[:, n, -1]
+        for k, j in enumerate(j for j in range(p) if j != i):
+            shares[(i, j)] = by_player[:, n, k]
     return AttributionSeries(
         targets=targets, tau1=tau1, tau2=tau2, measure=measure,
         shares=shares, grand=grand,

@@ -11,9 +11,12 @@ component the exact conditional Student-t is used and the component
 weights are reweighted by each component's marginal density at the
 conditioning vector, handled in log space.
 
-Every measure is evaluated by CoRiskEngine, which batches the work over
-dates, series, levels and distress coalitions; the single-mixture
-functions, conditional_mixture included, are its T=1 case.
+Every measure is evaluated by CoRiskEngine.coalition_values, which takes
+a whole request (dates x measure families x targets x distress coalitions)
+as one grid: one stacked factorisation of every target's conditioning
+block, one batched quantile root and one batched tail mean.  The series
+functions make one such call per run, and the single-mixture functions,
+conditional_mixture included, are its T=1 case.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .studentt import (
 
 MEASURES = ("covar", "coes")
 
-# (row, component) pairs held in memory at once by one coalition batch;
-# longer samples are evaluated in blocks of dates.
+# (family, target, coalition, component) cells per date held in memory at
+# once by one coalition batch; longer samples are evaluated in blocks of dates.
 ROW_BUDGET = 1 << 20
 
 
@@ -99,16 +102,20 @@ def coalition_masks(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Block:
-    """Per-regime quantities for conditioning one target on all other series."""
+class _Blocks:
+    """Per-regime quantities for conditioning each target on all other series.
 
-    others: list       # conditioning series, ascending
-    mu_cond: np.ndarray    # L x d   their locations
-    mu_target: np.ndarray  # L       target location
-    chol: np.ndarray       # L x d x d  lower Cholesky factor of S22
-    reg: np.ndarray        # L x d   regression row S12 S22^{-1}
-    schur: np.ndarray      # L       S11 - S12 S22^{-1} S21
-    log_const: np.ndarray  # L       log-density constant of the d-variate marginal
+    Row i of every array belongs to target i; the singleton axis after it
+    broadcasts over coalitions.
+    """
+
+    others: np.ndarray     # p x d   conditioning series of each target, ascending
+    mu_cond: np.ndarray    # p x 1 x L x d  their locations
+    mu_target: np.ndarray  # p x 1 x L      target location
+    chol: np.ndarray       # p x 1 x L x d x d  lower Cholesky factor of S22
+    reg: np.ndarray        # p x 1 x L x d  regression row S12 S22^{-1}
+    schur: np.ndarray      # p x 1 x L      S11 - S12 S22^{-1} S21
+    log_const: np.ndarray  # p x 1 x L      log-density constant of the d-variate marginal
 
 
 class CoRiskEngine:
@@ -118,10 +125,13 @@ class CoRiskEngine:
     the regime emissions.  Marginal VaR/ES levels are solved once per
     (kind, tau) for every date and series as one batched root and cached,
     so the distress and the baseline rows of a Delta read the same level
-    array.  Conditioning is always on every series but the target, so per
-    target the regression row, Schur complement and Cholesky factor of the
-    conditioning block are computed once and a conditioning vector costs one
-    Mahalanobis term per component.
+    array.  Conditioning is always on every series but the target, so the
+    regression rows, Schur complements and Cholesky factors of every
+    target's conditioning block are computed once, as one stack over
+    targets, and a conditioning vector costs one Mahalanobis term per
+    component.  coalition_values evaluates every (date, family, target,
+    coalition) of a request as one grid, with one quantile root and one
+    truncated mean per block of dates.
     """
 
     def __init__(self, weights, components):
@@ -135,7 +145,7 @@ class CoRiskEngine:
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(self.weights)
         self._levels = {}
-        self._blocks = {}
+        self._blocks = None
 
     @classmethod
     def from_fit(cls, fit: FitResult, h: int = 1, probs: str = "filtered"):
@@ -151,19 +161,29 @@ class CoRiskEngine:
     def dim(self) -> int:
         return self.mu.shape[1]
 
-    def solve_levels(self, taus) -> None:
-        """Marginal VaR of every date and series at each uncached tau, in one root solve."""
+    def solve_levels(self, taus, es: bool = False) -> None:
+        """Marginal VaR (and with es, ES) of every date and series at each uncached tau.
+
+        The VaR levels of all new taus are one batched root, their ES levels
+        one batched truncated mean.
+        """
         for tau in taus:
             _check_tau(tau)
-        new = sorted({float(t) for t in taus} - {t for k, t in self._levels if k == "var"})
-        if not new:
-            return
-        q = batched_mixture_quantile(
-            self.weights[:, None, None, :], self.mu.T[None, :, None, :],
-            self.sd.T[None, :, None, :], self.nu, np.array(new),
-        )
-        for k, tau in enumerate(new):
-            self._levels["var", tau] = q[:, :, k]
+        taus = sorted({float(t) for t in taus})
+        # (date, series, tau) rows of the T marginal mixtures
+        rows = (self.weights[:, None, None, :], self.mu.T[None, :, None, :],
+                self.sd.T[None, :, None, :], self.nu)
+        new = [t for t in taus if ("var", t) not in self._levels]
+        if new:
+            q = batched_mixture_quantile(*rows, np.array(new))
+            for k, tau in enumerate(new):
+                self._levels["var", tau] = q[:, :, k]
+        new = [t for t in taus if es and ("es", t) not in self._levels]
+        if new:
+            cut = np.stack([self._levels["var", t] for t in new], axis=-1)
+            tail = batched_mixture_truncated_mean(*rows, cut)
+            for k, tau in enumerate(new):
+                self._levels["es", tau] = tail[:, :, k]
 
     def level(self, kind: str, tau: float) -> np.ndarray:
         """T x p marginal VaR ('var') or ES ('es') levels at tau."""
@@ -171,104 +191,124 @@ class CoRiskEngine:
             raise ValueError("level kind must be 'var' or 'es'")
         key = (kind, float(tau))
         if key not in self._levels:
-            self.solve_levels([tau])
-            if kind == "es":
-                self._levels[key] = batched_mixture_truncated_mean(
-                    self.weights[:, None, :], self.mu.T, self.sd.T, self.nu,
-                    self._levels["var", key[1]],
-                )
+            self.solve_levels([tau], es=kind == "es")
         return self._levels[key]
 
-    def _block(self, target: int) -> _Block:
-        if target not in self._blocks:
-            others = [j for j in range(self.dim) if j != target]
-            d = len(others)
-            s22 = self.sigma[:, others][:, :, others]
-            s21 = self.sigma[:, others, target]
+    def _target_blocks(self) -> _Blocks:
+        """Every target's conditioning block, from one batched factorisation."""
+        if self._blocks is None:
+            p = self.dim
+            others = np.array([[j for j in range(p) if j != i] for i in range(p)], dtype=int)
+            d = p - 1
+            s22 = self.sigma[:, others[:, :, None], others[:, None, :]].swapaxes(0, 1)
+            s21 = self.sigma[:, others, np.arange(p)[:, None]].swapaxes(0, 1)
             chol = np.linalg.cholesky(s22)
             reg = np.linalg.solve(s22, s21[..., None])[..., 0]
-            logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-            self._blocks[target] = _Block(
+            logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+            schur = np.diagonal(self.sigma, axis1=1, axis2=2).T - np.sum(reg * s21, axis=-1)
+            self._blocks = _Blocks(
                 others=others,
-                mu_cond=self.mu[:, others],
-                mu_target=self.mu[:, target],
-                chol=chol,
-                reg=reg,
-                schur=self.sigma[:, target, target] - np.sum(reg * s21, axis=1),
-                log_const=_mvt_log_norm(self.nu, d, logdet),
+                mu_cond=self.mu[:, others].swapaxes(0, 1)[:, None],
+                mu_target=self.mu.T[:, None],
+                chol=chol[:, None],
+                reg=reg[:, None],
+                schur=schur[:, None],
+                log_const=_mvt_log_norm(self.nu, d, logdet)[:, None],
             )
-        return self._blocks[target]
+        return self._blocks
 
-    def _conditional(self, blk: _Block, x, dates=slice(None)):
-        """Target's conditional mixtures at conditioning vectors x (n, C, d).
+    def _conditional(self, targets, x, dates=slice(None)):
+        """Targets' conditional mixtures at conditioning vectors x (n, F, P, C, d).
 
-        Row n of x belongs to the n-th of the given dates.  Per component
-        the exact conditional t is formed and the date's weight is
-        reweighted by the component's marginal density at x, in log space.
-        Returns the component weights, conditional locations and scales,
-        each (n, C, L); the conditional degrees of freedom are nu + d.
+        Axis 0 of x runs over the given dates and axis 2 over targets (P
+        series indices); x[:, :, j] holds values of the other series of
+        targets[j], in ascending order.  Per component the exact
+        conditional t is formed and the date's weight is reweighted by the
+        component's marginal density at x, in log space.  Returns the
+        component weights, conditional locations and scales, each
+        (n, F, P, C, L); the conditional degrees of freedom are nu + d.
         """
-        d = len(blk.others)
-        dev = [x[..., k, None] - blk.mu_cond[:, k] for k in range(d)]
+        blk = self._target_blocks()
+        mu_cond, chol, reg = blk.mu_cond[targets], blk.chol[targets], blk.reg[targets]
+        d = self.dim - 1
+        dev = [x[..., k, None] - mu_cond[..., k] for k in range(d)]
         z = []
         for r in range(d):
             acc = dev[r]
             for k in range(r):
-                acc = acc - blk.chol[:, r, k] * z[k]
-            z.append(acc / blk.chol[:, r, r])
+                acc = acc - chol[..., r, k] * z[k]
+            z.append(acc / chol[..., r, r])
         maha = sum(zk * zk for zk in z)
-        loc = blk.mu_target + sum(blk.reg[:, k] * dev[k] for k in range(d))
-        scale = np.sqrt((self.nu + maha) / (self.nu + d) * blk.schur)
+        loc = blk.mu_target[targets] + sum(reg[..., k] * dev[k] for k in range(d))
+        scale = np.sqrt((self.nu + maha) / (self.nu + d) * blk.schur[targets])
         log_w = (
-            self.log_weights[dates, None, :]
-            + blk.log_const - 0.5 * (self.nu + d) * np.log1p(maha / self.nu)
+            self.log_weights[dates, None, None, None, :]
+            + blk.log_const[targets] - 0.5 * (self.nu + d) * np.log1p(maha / self.nu)
         )
         w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
         w /= w.sum(axis=-1, keepdims=True)
         return w, loc, scale
 
-    def coalition_values(self, target: int, measure: str, tau1: float, tau2: float,
+    def coalition_values(self, targets, measures, tau1: float, tau2: float,
                          coalitions, threshold: str = "conditional") -> np.ndarray:
-        """Multiple-CoVaR or -CoES of target for each distress coalition and date.
+        """Multiple-CoVaR / -CoES of each target for each distress coalition and date.
 
-        coalitions is a (C, p - 1) boolean array over the other series in
-        ascending order: a member sits at its tau2 level, a non-member at
-        its 0.5 level (VaR levels for 'covar', ES levels for 'coes').
-        threshold is the CoES truncation point: the conditional law's own
-        tau1-quantile ('conditional') or the target's marginal VaR at tau1
-        ('unconditional').  Returns a T x C array.
+        targets is a sequence of series indices and measures a sequence of
+        families ('covar', 'coes').  coalitions is a (C, p - 1) boolean
+        array over each target's other series in ascending order: a member
+        sits at its tau2 level, a non-member at its 0.5 level (VaR levels
+        for 'covar', ES levels for 'coes').  threshold is the CoES
+        truncation point: the conditional law's own tau1-quantile
+        ('conditional') or the target's marginal VaR at tau1
+        ('unconditional').  Returns a T x F x P x C array, F = len(measures)
+        and P = len(targets), in the order given.
         """
-        if measure not in MEASURES:
-            raise ValueError("measure must be 'covar' or 'coes'")
+        measures = tuple(measures)
+        targets = np.array([int(i) for i in targets], dtype=int)
+        for m in measures:
+            if m not in MEASURES:
+                raise ValueError("measure must be 'covar' or 'coes'")
         if threshold not in ("conditional", "unconditional"):
             raise ValueError("threshold must be 'conditional' or 'unconditional'")
-        if not 0 <= target < self.dim:
-            raise IndexError(f"series index {target} outside dimension {self.dim}")
+        for i in targets:
+            if not 0 <= i < self.dim:
+                raise IndexError(f"series index {i} outside dimension {self.dim}")
         if self.dim < 2:
             raise ValueError("co-risk measures need at least two series")
-        self.solve_levels((tau1, tau2, 0.5))
-        kind = "var" if measure == "covar" else "es"
-        blk = self._block(target)
-        distress = self.level(kind, tau2)[:, blk.others]
-        normal = self.level(kind, 0.5)[:, blk.others]
-        cutoff = self.level("var", tau1)[:, target]
         masks = np.asarray(coalitions, dtype=bool)
+        d = self.dim - 1
+        if masks.ndim != 2 or masks.shape[0] == 0 or masks.shape[1] != d:
+            raise ValueError(
+                f"coalitions must be a nonempty (C, {d}) boolean array, got shape {masks.shape}"
+            )
+        self.solve_levels((tau1, tau2, 0.5), es="coes" in measures)
+        kinds = ["var" if m == "covar" else "es" for m in measures]
+        others = self._target_blocks().others[targets]
+        distress = np.stack([self.level(k, tau2)[:, others] for k in kinds], axis=1)
+        normal = np.stack([self.level(k, 0.5)[:, others] for k in kinds], axis=1)
+        cutoff = self.level("var", tau1)[:, None, targets, None]
+        # families that need the conditional tau1-quantile, and the CoES ones
+        quant = [f for f, m in enumerate(measures) if m == "covar" or threshold == "conditional"]
+        coes = [f for f, m in enumerate(measures) if m == "coes"]
         t_len, n_comp = self.weights.shape
-        out = np.empty((t_len, masks.shape[0]))
-        step = max(1, ROW_BUDGET // (masks.shape[0] * n_comp))
+        out = np.empty((t_len, len(measures), targets.size, masks.shape[0]))
+        cells = len(measures) * targets.size * len(masks) * n_comp
+        step = max(1, ROW_BUDGET // max(1, cells))
+        nu = self.nu + d
         for lo in range(0, t_len, step):
             dates = slice(lo, lo + step)
-            x = np.where(masks, distress[dates, None, :], normal[dates, None, :])
-            w, loc, scale = self._conditional(blk, x, dates)
-            nu = self.nu + len(blk.others)
-            if measure == "covar":
-                out[dates] = batched_mixture_quantile(w, loc, scale, nu, tau1)
-                continue
-            if threshold == "conditional":
-                cut = batched_mixture_quantile(w, loc, scale, nu, tau1)
-            else:
-                cut = cutoff[dates, None]
-            out[dates] = batched_mixture_truncated_mean(w, loc, scale, nu, cut)
+            x = np.where(masks, distress[dates, :, :, None, :], normal[dates, :, :, None, :])
+            w, loc, scale = self._conditional(targets, x, dates)
+            block = out[dates]
+            if quant:
+                block[:, quant] = batched_mixture_quantile(
+                    w[:, quant], loc[:, quant], scale[:, quant], nu, tau1
+                )
+            if coes:
+                cut = block[:, coes] if threshold == "conditional" else cutoff[dates]
+                block[:, coes] = batched_mixture_truncated_mean(
+                    w[:, coes], loc[:, coes], scale[:, coes], nu, cut
+                )
         return out
 
 
@@ -284,8 +324,8 @@ def _query_values(mix: PredictiveMixture, q: RiskQuery, measure: str, baseline: 
         mask.append([False] * len(mask[0]))
     engine = CoRiskEngine.from_mixture(mix)
     return engine.coalition_values(
-        q.target, measure, q.tau1, q.tau2, mask, threshold=threshold
-    )[0]
+        (q.target,), (measure,), q.tau1, q.tau2, mask, threshold=threshold
+    )[0, 0, 0]
 
 
 def marginal_var(mix: PredictiveMixture, i: int, tau: float) -> float:
@@ -317,10 +357,12 @@ def conditional_mixture(mix: PredictiveMixture, target: int, cond_idx, cond_valu
     # marginal_mvt rejects a repeated index (the target's included) or one out of range
     keep = sorted([target, *cond_idx])
     engine = CoRiskEngine(mix.weights, [marginal_mvt(c, keep) for c in mix.components])
-    blk = engine._block(keep.index(target))
-    w, loc, scale = engine._conditional(blk, cond_values[np.argsort(cond_idx)][None, None])
+    x = cond_values[np.argsort(cond_idx)][None, None, None, None]
+    w, loc, scale = engine._conditional([keep.index(target)], x)
     nu = engine.nu + len(cond_idx)
-    return w[0, 0], [tuple(map(float, c)) for c in zip(loc[0, 0], scale[0, 0], nu)]
+    return w[0, 0, 0, 0], [
+        tuple(map(float, c)) for c in zip(loc[0, 0, 0, 0], scale[0, 0, 0, 0], nu)
+    ]
 
 
 def multiple_covar(mix: PredictiveMixture, q: RiskQuery) -> float:
@@ -368,10 +410,12 @@ def total_risk_series(fit: FitResult, measure: str = "both", tau1: float = 0.05,
     if measure not in ("covar", "coes", "both"):
         raise ValueError("measure must be 'covar', 'coes' or 'both'")
     engine = CoRiskEngine.from_fit(fit, h, probs)
-    engine.solve_levels((tau1, tau2, 0.5))
     p = engine.dim
+    families = MEASURES if measure == "both" else (measure,)
     # grand coalition and the all-at-median baseline
     masks = np.array([[True] * (p - 1), [False] * (p - 1)])
+    values = engine.coalition_values(range(p), families, tau1, tau2, masks)
+    var, es = engine.level("var", tau1), engine.level("es", tau1)
     out = []
     for i in range(p):
         series = RiskSeries(
@@ -379,14 +423,13 @@ def total_risk_series(fit: FitResult, measure: str = "both", tau1: float = 0.05,
             distress=tuple(j for j in range(p) if j != i),
             tau1=tau1,
             tau2=tau2,
-            var=engine.level("var", tau1)[:, i].copy(),
-            es=engine.level("es", tau1)[:, i].copy(),
+            var=var[:, i].copy(),
+            es=es[:, i].copy(),
         )
-        for family in MEASURES:
-            if measure in (family, "both"):
-                values = engine.coalition_values(i, family, tau1, tau2, masks)
-                setattr(series, family, values[:, 0])
-                setattr(series, "delta_" + family, values[:, 0] - values[:, 1])
+        for f, family in enumerate(families):
+            grand, base = values[:, f, i, 0], values[:, f, i, 1]
+            setattr(series, family, grand)
+            setattr(series, "delta_" + family, grand - base)
         out.append(series)
     return out
 
@@ -431,8 +474,8 @@ def standard_pairwise_delta(fit_bivariate: FitResult, target: int, measure: str 
     if measure not in MEASURES:
         raise ValueError("measure must be 'covar' or 'coes'")
     engine = CoRiskEngine.from_fit(fit_bivariate, h, probs)
-    values = engine.coalition_values(target, measure, tau1, tau2, [[True], [False]])
-    return values[:, 0] - values[:, 1]
+    values = engine.coalition_values((target,), (measure,), tau1, tau2, [[True], [False]])
+    return values[:, 0, 0, 0] - values[:, 0, 0, 1]
 
 
 def write_risk_csv(path, dates, names, series_list, measure: str = "both") -> None:

@@ -232,22 +232,17 @@ def _mixture_arrays(weights, comps):
     return w, mus, sigmas, nus
 
 
-def _rows(weights, mu, scale, nu, point):
-    """Broadcast (..., L) component arrays and a (...) point to flat rows.
+def _rows(point, *arrays):
+    """Broadcast a (...) point and (..., L) component arrays to flat rows.
 
-    Returns the batch shape, the four (n, L) arrays and the (n,) points.
+    Returns the batch shape, the (n,) points and the (n, L) arrays.
     """
-    shape = np.broadcast_shapes(
-        np.shape(weights), np.shape(mu), np.shape(scale), np.shape(nu),
-        np.shape(point) + (1,),
-    )
+    shape = np.broadcast_shapes(np.shape(point) + (1,), *map(np.shape, arrays))
     n, L = int(np.prod(shape[:-1])), shape[-1]
-    arrays = [
-        np.broadcast_to(np.asarray(a, dtype=float), shape).reshape(n, L)
-        for a in (weights, mu, scale, nu)
-    ]
     point = np.broadcast_to(np.asarray(point, dtype=float), shape[:-1]).reshape(n)
-    return shape[:-1], arrays, point
+    return shape[:-1], point, [
+        np.broadcast_to(np.asarray(a, dtype=float), shape).reshape(n, L) for a in arrays
+    ]
 
 
 # A row converges within about ten steps; bisection alone halves the bracket
@@ -297,14 +292,19 @@ def batched_mixture_quantile(weights, mu, scale, nu, tau):
     among components of positive weight, since every component CDF is at
     most tau at the former and at least tau at the latter.  Rows are solved
     there by _bracketed_newton, to 4 eps (|x| + smallest scale), and never
-    mix, so equal rows give equal quantiles.
+    mix, so equal rows give equal quantiles.  The standard t quantiles and
+    log-normalisers depend on nu and tau alone and are evaluated before the
+    inputs are spread over rows.
     """
-    shape, (w, mu, s, nu), tau = _rows(weights, mu, scale, nu, tau)
-    comp_q = mu + s * special.stdtrit(nu, tau[:, None])
+    nu, tau = np.asarray(nu, dtype=float), np.asarray(tau, dtype=float)
+    shape, tau, (w, mu, s, nu, std_q, log_norm) = _rows(
+        tau, weights, mu, scale, nu, special.stdtrit(nu, tau[..., None]), _mvt_log_norm(nu, 1)
+    )
+    comp_q = mu + s * std_q
     live = w > 0.0
     a = np.min(np.where(live, comp_q, np.inf), axis=1)
     b = np.max(np.where(live, comp_q, -np.inf), axis=1)
-    log_c = _mvt_log_norm(nu, 1) - np.log(s)
+    log_c = log_norm - np.log(s)
 
     def cdf_and_density(x, rows):
         wr, mr, sr, nr = w[rows], mu[rows], s[rows], nu[rows]
@@ -323,7 +323,7 @@ def batched_mixture_truncated_mean(weights, mu, scale, nu, cutoff):
     Broadcasting and validation as in batched_mixture_quantile, plus every
     nu > 1.  Raises ValueError when some row has no mass below its cutoff.
     """
-    shape, (w, mu, s, nu), cutoff = _rows(weights, mu, scale, nu, cutoff)
+    shape, cutoff, (w, mu, s, nu) = _rows(cutoff, weights, mu, scale, nu)
     z = (cutoff[:, None] - mu) / s
     cdf = special.stdtr(nu, z)
     mass = np.sum(w * cdf, axis=1)

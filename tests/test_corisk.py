@@ -23,9 +23,26 @@ from msrisk import (
     t_quantile,
     total_risk_series,
 )
-from msrisk.corisk import RiskQuery, conditional_mixture, write_risk_csv
+from msrisk import corisk
+from msrisk.attribution import _shapley_shares, attribution_series, vis_a_vis
+from msrisk.corisk import (
+    MEASURES,
+    CoRiskEngine,
+    RiskQuery,
+    coalition_masks,
+    conditional_mixture,
+    write_risk_csv,
+)
 from msrisk.simulate import SimSpec
-from msrisk.studentt import condition_mvt, marginal_mvt, mvt_logpdf, univariate
+from msrisk.studentt import (
+    _mvt_log_norm,
+    batched_mixture_quantile,
+    batched_mixture_truncated_mean,
+    condition_mvt,
+    marginal_mvt,
+    mvt_logpdf,
+    univariate,
+)
 
 from helpers import (
     fit_from_model,
@@ -141,6 +158,122 @@ def oracle_conditional_mixture(mix, target, cond_idx, cond_values):
         comps.append(univariate(marginal_mvt(cond, [pos])))
     weights = np.exp(log_w - logsumexp(log_w))
     return weights / weights.sum(), comps
+
+
+# ---------------------------------------------------------------------------
+# The per-target path that CoRiskEngine's one grid replaced: one conditioning
+# block, one measure family and one quantile root per target, all dates at
+# once, with every marginal level solved on its own.  The batched engine must
+# reproduce it bit for bit.
+
+
+def oracle_level(engine, kind, tau):
+    """T x p marginal VaR or ES at tau, one tau per root."""
+    rows = (engine.weights[:, None, :], engine.mu.T, engine.sd.T, engine.nu)
+    var = batched_mixture_quantile(*rows, tau)
+    return var if kind == "var" else batched_mixture_truncated_mean(*rows, var)
+
+
+def oracle_coalition_values(engine, target, measure, tau1, tau2, masks,
+                            threshold="conditional"):
+    """T x C Multiple-CoVaR or -CoES of one target, from that target's own block."""
+    others = [j for j in range(engine.dim) if j != target]
+    d = len(others)
+    s22 = engine.sigma[:, others][:, :, others]
+    s21 = engine.sigma[:, others, target]
+    chol = np.linalg.cholesky(s22)
+    reg = np.linalg.solve(s22, s21[..., None])[..., 0]
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    schur = engine.sigma[:, target, target] - np.sum(reg * s21, axis=1)
+    log_const = _mvt_log_norm(engine.nu, d, logdet)
+    mu_cond = engine.mu[:, others]
+    kind = "var" if measure == "covar" else "es"
+    distress = oracle_level(engine, kind, tau2)[:, others]
+    normal = oracle_level(engine, kind, 0.5)[:, others]
+    x = np.where(np.asarray(masks, dtype=bool), distress[:, None, :], normal[:, None, :])
+    dev = [x[..., k, None] - mu_cond[:, k] for k in range(d)]
+    z = []
+    for r in range(d):
+        acc = dev[r]
+        for k in range(r):
+            acc = acc - chol[:, r, k] * z[k]
+        z.append(acc / chol[:, r, r])
+    maha = sum(zk * zk for zk in z)
+    loc = engine.mu[:, target] + sum(reg[:, k] * dev[k] for k in range(d))
+    scale = np.sqrt((engine.nu + maha) / (engine.nu + d) * schur)
+    log_w = (
+        engine.log_weights[:, None, :]
+        + log_const - 0.5 * (engine.nu + d) * np.log1p(maha / engine.nu)
+    )
+    w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    nu = engine.nu + d
+    if measure == "covar":
+        return batched_mixture_quantile(w, loc, scale, nu, tau1)
+    if threshold == "conditional":
+        cut = batched_mixture_quantile(w, loc, scale, nu, tau1)
+    else:
+        cut = oracle_level(engine, "var", tau1)[:, target, None]
+    return batched_mixture_truncated_mean(w, loc, scale, nu, cut)
+
+
+def oracle_total_risk_series(fit, measure, tau1, tau2, h, probs):
+    """Per target, a dict of the RiskSeries fields, one family and target at a time."""
+    engine = CoRiskEngine.from_fit(fit, h, probs)
+    p = engine.dim
+    masks = [[True] * (p - 1), [False] * (p - 1)]
+    out = []
+    for i in range(p):
+        fields = {
+            "var": oracle_level(engine, "var", tau1)[:, i],
+            "es": oracle_level(engine, "es", tau1)[:, i],
+        }
+        for family in MEASURES:
+            if measure in (family, "both"):
+                values = oracle_coalition_values(engine, i, family, tau1, tau2, masks)
+                fields[family] = values[:, 0]
+                fields["delta_" + family] = values[:, 0] - values[:, 1]
+        out.append(fields)
+    return out
+
+
+def oracle_attribution_series(fit, measure, tau1, tau2, h, probs):
+    """(shares, grand) dicts of the Shapley attribution, one target at a time."""
+    engine = CoRiskEngine.from_fit(fit, h, probs)
+    p = engine.dim
+    shares, grand = {}, {}
+    for i in range(p):
+        values = oracle_coalition_values(engine, i, measure, tau1, tau2, coalition_masks(p - 1))
+        delta = values - values[:, :1]
+        by_player = _shapley_shares(delta, p - 1)
+        grand[i] = delta[:, -1]
+        for k, j in enumerate(j for j in range(p) if j != i):
+            shares[(i, j)] = by_player[:, k]
+    return shares, grand
+
+
+def assert_series_equal(got, want):
+    for series, fields in zip(got, want, strict=True):
+        for name in ("var", "es", "covar", "coes", "delta_covar", "delta_coes"):
+            if name in fields:
+                np.testing.assert_array_equal(getattr(series, name), fields[name], err_msg=name)
+            else:
+                assert getattr(series, name) is None
+
+
+def assert_attribution_equal(got, shares, grand):
+    assert got.shares.keys() == shares.keys()
+    for key, values in shares.items():
+        np.testing.assert_array_equal(got.shares[key], values, err_msg=str(key))
+    for i in got.targets:
+        np.testing.assert_array_equal(got.grand[i], grand[i])
+
+
+def engine_fit(seed, L, p, t_len=12):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, L, p, scale=0.02)
+    _, panel = sample_path(SimSpec(model, t_len, seed))
+    return fit_from_model(model, panel), rng
 
 
 # ---------------------------------------------------------------------------
@@ -499,3 +632,97 @@ class TestStandardPairwise:
         fit, _ = TestSeries().build_fit(88, p=3)
         with pytest.raises(ValueError):
             standard_pairwise_delta(fit, 0)
+
+
+class TestBatchedEngine:
+    """One coalition grid over dates, families, targets and coalitions."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_matches_per_target_path(self, L, p):
+        fit, rng = engine_fit(3000 + 10 * L + p, L, p)
+        tau1, tau2 = (float(t) for t in rng.uniform(0.02, 0.2, size=2))
+        masks = coalition_masks(p - 1)
+        for h in (1, 3):
+            for probs in ("filtered", "smoothed"):
+                for measure in ("covar", "coes", "both"):
+                    assert_series_equal(
+                        total_risk_series(fit, measure, tau1, tau2, h=h, probs=probs),
+                        oracle_total_risk_series(fit, measure, tau1, tau2, h, probs),
+                    )
+                for measure in MEASURES:
+                    assert_attribution_equal(
+                        attribution_series(fit, measure, tau1, tau2, h=h, probs=probs),
+                        *oracle_attribution_series(fit, measure, tau1, tau2, h, probs),
+                    )
+                engine = CoRiskEngine.from_fit(fit, h, probs)
+                for threshold in ("conditional", "unconditional"):
+                    for measures in (("covar",), ("coes",), ("coes", "covar")):
+                        got = engine.coalition_values(
+                            range(p), measures, tau1, tau2, masks, threshold
+                        )
+                        assert got.shape == (12, len(measures), p, len(masks))
+                        for f, measure in enumerate(measures):
+                            for i in range(p):
+                                want = oracle_coalition_values(
+                                    engine, i, measure, tau1, tau2, masks, threshold
+                                )
+                                np.testing.assert_array_equal(got[:, f, i], want)
+
+    def test_date_blocks_split_mid_sample(self, monkeypatch):
+        fit, _ = engine_fit(3100, 2, 4)
+        # 2 families x 4 targets x 2 coalitions x 2 components per date: blocks
+        # of 5 dates for the total risk series and of 2 for the attribution.
+        monkeypatch.setattr(corisk, "ROW_BUDGET", 5 * 32)
+        assert_series_equal(
+            total_risk_series(fit, "both", h=3, probs="smoothed"),
+            oracle_total_risk_series(fit, "both", 0.05, 0.05, 3, "smoothed"),
+        )
+        for measure in MEASURES:
+            assert_attribution_equal(
+                attribution_series(fit, measure),
+                *oracle_attribution_series(fit, measure, 0.05, 0.05, 1, "filtered"),
+            )
+
+    def test_target_subsets_match_full_run(self):
+        fit, _ = engine_fit(3200, 3, 4)
+        for measure in MEASURES:
+            full = attribution_series(fit, measure)
+            part = attribution_series(fit, measure, targets=(3, 1))
+            assert part.targets == (3, 1)
+            assert set(part.shares) == {(i, j) for i in (3, 1) for j in range(4) if j != i}
+            for key, values in part.shares.items():
+                np.testing.assert_array_equal(values, full.shares[key])
+            for i in part.targets:
+                np.testing.assert_array_equal(part.grand[i], full.grand[i])
+            a_on_b, b_on_a = vis_a_vis(fit, (2, 0), measure)
+            np.testing.assert_array_equal(a_on_b, full.shares[(2, 0)])
+            np.testing.assert_array_equal(b_on_a, full.shares[(0, 2)])
+
+    def test_no_targets_no_shares(self):
+        fit, _ = engine_fit(3300, 2, 3)
+        series = attribution_series(fit, targets=())
+        assert series.targets == () and series.shares == {} and series.grand == {}
+
+
+class TestCoalitionBoundary:
+    def engine(self):
+        fit, _ = engine_fit(3400, 2, 4)
+        return CoRiskEngine.from_fit(fit)
+
+    def test_wrong_width_named(self):
+        with pytest.raises(ValueError, match=r"\(C, 3\) boolean array, got shape \(1, 2\)"):
+            self.engine().coalition_values([0], ["covar"], 0.05, 0.05, [[True, False]])
+
+    @pytest.mark.parametrize("coalitions", [[], np.zeros((0, 3), dtype=bool), [True] * 3])
+    def test_empty_or_flat_rejected(self, coalitions):
+        with pytest.raises(ValueError, match=r"nonempty \(C, 3\) boolean array"):
+            self.engine().coalition_values([0], ["covar"], 0.05, 0.05, coalitions)
+
+    def test_target_out_of_range(self):
+        with pytest.raises(IndexError, match="series index 7 outside dimension 4"):
+            self.engine().coalition_values([0, 7], ["covar"], 0.05, 0.05, [[True] * 3])
+
+    def test_unknown_measure(self):
+        with pytest.raises(ValueError, match="measure must be"):
+            self.engine().coalition_values([0], ["covar", "cvar"], 0.05, 0.05, [[True] * 3])

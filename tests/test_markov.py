@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -341,6 +342,73 @@ class TestEmFit:
                 fit(flat, 2)
             with pytest.raises(ValueError, match="column 1 is constant"):
                 fit(y, 2)
+
+
+class TestMetamorphicFit:
+    """Fits of transformed panels from the deterministic PCA start, to 1e-8 relative."""
+
+    @staticmethod
+    def assert_close(got, want):
+        want = np.asarray(want, dtype=float)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("shift, c", [([0.3, -1.0, 2.0], 3.0), ([-0.01, 0.02, 0.0], 0.25)])
+    def test_shift_and_scale(self, shift, c):
+        # Percent returns, so the start's absolute 1e-10 ridge is negligible
+        # against every variance.
+        y = 100.0 * simulated_panel(600, seed=112).returns
+        a = np.array(shift)
+        # The stopping rule's 1 + |loglik| term moves with the log-likelihood,
+        # so both fits run the same fixed number of ECM iterations.
+        base = em_fit(y, 2, tol=1e-300, max_iter=30)
+        fit = em_fit(a + c * y, 2, tol=1e-300, max_iter=30)
+        assert fit.iterations == base.iterations == 30
+        t_len, p = y.shape
+        for got, want in zip(fit.model.regimes, base.model.regimes, strict=True):
+            self.assert_close(got.mu, a + c * want.mu)
+            self.assert_close(got.sigma, c * c * want.sigma)
+            self.assert_close(got.nu, want.nu)
+        self.assert_close(fit.model.transition, base.model.transition)
+        self.assert_close(fit.model.initial, base.model.initial)
+        self.assert_close(fit.smoothed, base.smoothed)
+        self.assert_close(fit.loglik, base.loglik - t_len * p * np.log(c))
+
+    def test_series_permutation(self):
+        # The regimes rank the first and the last series in opposite orders,
+        # so moving the last series first reverses the fitted state order.
+        corr = 0.010**2 * CORR
+        model = MsTModel(
+            [
+                MvtParams([0.004, 0.0, -0.010], corr, 5.0),
+                MvtParams([-0.010, 0.0, 0.004], 9.0 * corr, 5.0),
+            ],
+            np.array([[0.95, 0.05], [0.05, 0.95]]),
+            [0.5, 0.5],
+        )
+        _, panel = sample_path(SimSpec(model, 600, 113))
+        y = 100.0 * panel.returns
+        perm = [2, 0, 1]
+        base = em_fit(y, 2)
+        fit = em_fit(y[:, perm], 2)
+        assert fit.iterations == base.iterations
+        self.assert_close(fit.loglik, base.loglik)
+        # order[l] is the permuted fit's state that matches the base's state l
+        order = min(
+            itertools.permutations(range(2)),
+            key=lambda o: sum(
+                np.abs(fit.model.regimes[k].mu - base.model.regimes[l].mu[perm]).sum()
+                for l, k in enumerate(o)
+            ),
+        )
+        assert order == (1, 0)
+        for l, k in enumerate(order):
+            got, want = fit.model.regimes[k], base.model.regimes[l]
+            self.assert_close(got.mu, want.mu[perm])
+            self.assert_close(got.sigma, want.sigma[np.ix_(perm, perm)])
+            self.assert_close(got.nu, want.nu)
+        self.assert_close(fit.model.transition[np.ix_(order, order)], base.model.transition)
+        self.assert_close(fit.model.initial[list(order)], base.model.initial)
+        self.assert_close(fit.smoothed[:, order], base.smoothed)
 
 
 class TestSolveNu:

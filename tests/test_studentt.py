@@ -16,6 +16,8 @@ from msrisk import (
 )
 from msrisk.studentt import (
     _bracketed_newton,
+    batched_mixture_quantile,
+    batched_mixture_truncated_mean,
     mixture_cdf,
     mixture_truncated_mean,
     mvt_mahalanobis,
@@ -299,6 +301,30 @@ class TestMixtureQuantile:
             mixture_quantile([1.0], [(0.0, -1.0, 5.0)], 0.5)
         with pytest.raises(ValueError):
             mixture_quantile([1.0], [(0.0, 1.0, 5.0)], 1.0)
+
+
+class TestBatchedKernels:
+    def test_broadcast_rows_equal_materialised_rows(self):
+        # The t quantiles and log-normalisers are taken on the unbroadcast
+        # nu and tau; every row must equal the one solved from full arrays.
+        rng = np.random.default_rng(140)
+        L = 3
+        w = rng.dirichlet(np.ones(L), size=(7, 1, 1))
+        w[0, 0, 0, 1] = 0.0
+        mu = rng.normal(size=(1, 4, 1, L))
+        s = rng.uniform(0.5, 2.0, size=(1, 4, 1, L))
+        nu = rng.uniform(2.5, 30.0, size=L)
+        tau = np.array([0.01, 0.05, 0.5])
+        shape = (7, 4, 3, L)
+        full = [np.broadcast_to(a, shape).copy() for a in (w, mu, s, nu)]
+        tau_full = np.broadcast_to(tau, shape[:-1]).copy()
+        q = batched_mixture_quantile(w, mu, s, nu, tau)
+        assert q.shape == shape[:-1]
+        np.testing.assert_array_equal(q, batched_mixture_quantile(*full, tau_full))
+        np.testing.assert_array_equal(
+            batched_mixture_truncated_mean(w, mu, s, nu, q),
+            batched_mixture_truncated_mean(*full, q),
+        )
 
 
 class TestBracketedNewton:

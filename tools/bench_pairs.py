@@ -10,9 +10,9 @@ checkouts in turn, PAIRS times, parent first on odd pairs and change first
 on even ones, and keeps each run's end-to-end metrics, correctness and
 `machine` block.  Per metric it records both sides' medians and quartiles
 and how many pairs the change won, with the direction ("better") taken
-from the change's BENCHMARK.json.  It then times `markov._forward_backward`
-and `markov.forward_loglik` in FB_RUNS fresh interpreters of each checkout
-(alternating, min over blocks) at T in {500, 8000} and L in {2, 6}, p=4.
+from the change's BENCHMARK.json.  It then runs the LAYERS timers on each
+INPUTS panel in LAYER_RUNS fresh interpreters of each checkout
+(alternating): the minimum over BLOCKS blocks of one call, best of the runs.
 """
 
 from __future__ import annotations
@@ -31,8 +31,21 @@ WORKLOADS = ("fit", "risk", "shapley")
 PAIRS = 10
 SEED = 0
 SECONDS = 10.0
-FB_RUNS = 5
-FB_SIZES = [(500, 2), (500, 6), (8000, 2), (8000, 6)]
+LAYER_RUNS = 5
+BLOCKS = 15
+# `msrisk simulate` arguments of the layer-timer panels, each evaluated at
+# its truth model: the perfbench risk and shapley inputs at seed 0 and the
+# north-star chain panel.
+INPUTS = {
+    "risk": ["--model", "perfbench/models/risk_truth.json", "--T", "12", "--seed", "0"],
+    "shapley": ["--model", "perfbench/models/shapley_truth.json", "--T", "6", "--seed", "0"],
+    "chain": ["--L", "2", "--p", "4", "--T", "500", "--seed", "7"],
+}
+# name -> (msrisk module, function, keyword arguments), each called on the fit
+LAYERS = {
+    "total_risk_series.both": ("corisk", "total_risk_series", {"measure": "both"}),
+    "attribution_series.covar": ("attribution", "attribution_series", {"measure": "covar"}),
+}
 
 
 def source_digest(checkout: Path) -> str:
@@ -96,42 +109,41 @@ def summarize(pairs, better) -> dict:
     return summary
 
 
-def time_forward_backward():
-    """Min-of-15-blocks milliseconds of one _forward_backward and one forward_loglik call per (T, L)."""
-    import numpy as np
+def time_layers():
+    """Min-of-BLOCKS milliseconds of one call of each LAYERS entry on each INPUTS panel."""
+    import contextlib
+    import tempfile
 
-    from msrisk import MsTModel, MvtParams
-    from msrisk.markov import _forward_backward, forward_loglik
+    from msrisk import attribution, cli, corisk, markov, panel
 
+    modules = {"corisk": corisk, "attribution": attribution}
     out = {}
-    for t_len, L in FB_SIZES:
-        rng = np.random.default_rng(0)
-        p = 4
-        regimes = []
-        for l in range(L):
-            a = rng.normal(size=(p, p))
-            regimes.append(MvtParams(0.5 * rng.normal(size=p), a @ a.T / p + np.eye(p), 5.0 + l))
-        q = rng.uniform(0.05, 1.0, size=(L, L))
-        np.fill_diagonal(q, 5.0)
-        model = MsTModel(regimes, q / q.sum(axis=1, keepdims=True), np.full(L, 1.0 / L))
-        y = rng.standard_t(5.0, size=(t_len, p))
-        reps = max(1, 10000 // t_len)
-        for name, fn in (("forward_backward", _forward_backward), ("forward_loglik", forward_loglik)):
-            blocks = []
-            for _ in range(15):
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, argv in INPUTS.items():
+            with contextlib.redirect_stdout(sys.stderr):
+                cli.main(["simulate", *argv, "--out", f"{tmp}/{key}"])
+            model, _ = markov.load_model(f"{tmp}/{key}/truth_model.json")
+            fit = markov.fit_from_model(model, panel.load_csv(f"{tmp}/{key}/panel.csv"))
+            for name, (module, function, kwargs) in LAYERS.items():
+                fn = getattr(modules[module], function)
                 start = time.perf_counter()
-                for _ in range(reps):
-                    fn(model, y)
-                blocks.append((time.perf_counter() - start) / reps)
-            out.setdefault(name, {})[f"T{t_len}_L{L}"] = 1e3 * min(blocks)
+                fn(fit, **kwargs)
+                reps = max(1, int(0.05 / (time.perf_counter() - start)))
+                blocks = []
+                for _ in range(BLOCKS):
+                    start = time.perf_counter()
+                    for _ in range(reps):
+                        fn(fit, **kwargs)
+                    blocks.append((time.perf_counter() - start) / reps)
+                out[f"{name}@{key}"] = 1e3 * min(blocks)
     return out
 
 
-def forward_backward_ms(checkout: Path) -> dict:
+def layer_ms(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
-        [sys.executable, __file__, "--fb-child"],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, str(Path(__file__).resolve()), "--layers-child"],
+        cwd=checkout, env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
 
@@ -141,10 +153,10 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--change", type=Path)
     ap.add_argument("--out", type=Path)
-    ap.add_argument("--fb-child", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--layers-child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.fb_child:
-        print(json.dumps(time_forward_backward()))
+    if args.layers_child:
+        print(json.dumps(time_layers()))
         return 0
     if args.parent is None or args.change is None or args.out is None:
         ap.error("--parent, --change and --out are required")
@@ -176,16 +188,16 @@ def main(argv=None) -> int:
         }
 
     runs = {side: [] for side in sides}
-    for i in range(FB_RUNS):
+    for i in range(LAYER_RUNS):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            runs[side].append(forward_backward_ms(sides[side]))
-    for name in ("forward_backward", "forward_loglik"):
-        doc[f"{name}_ms"] = {
-            "what": f"min over 15 blocks of one markov.{name} call, p=4, "
-                    f"best of {FB_RUNS} fresh interpreters per side",
-            **{side: {k: min(r[name][k] for r in rs) for k in rs[0][name]}
-               for side, rs in runs.items()},
-        }
+            runs[side].append(layer_ms(sides[side]))
+    doc["layer_ms"] = {
+        "what": f"min over {BLOCKS} blocks of one call, best of {LAYER_RUNS} fresh "
+                "interpreters per side; name@input",
+        "inputs": {key: ["msrisk", "simulate", *argv] for key, argv in INPUTS.items()},
+        "layers": {name: f"msrisk.{m}.{f}(fit, **{kw})" for name, (m, f, kw) in LAYERS.items()},
+        **{side: {k: min(r[k] for r in rs) for k in rs[0]} for side, rs in runs.items()},
+    }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
