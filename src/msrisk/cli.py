@@ -29,6 +29,8 @@ def _add_common(sub):
 
 
 def _add_input(sub):
+    """The common options plus the panel input, for every command that reads one."""
+    _add_common(sub)
     sub.add_argument("--input", required=True, help="panel CSV (first column ISO dates)")
     sub.add_argument(
         "--prices", action="store_true",
@@ -44,25 +46,21 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="summary statistics per series")
-    _add_common(p)
     _add_input(p)
     p.add_argument("--alpha", type=float, default=0.01, help="tail quantile level")
 
     p = sub.add_parser("select", help="state-count selection by AIC/BIC")
-    _add_common(p)
     _add_input(p)
     p.add_argument("--L-range", default="2:6", help="inclusive range, e.g. 2:6")
     p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--criterion", choices=("aic", "bic"), default="aic")
 
     p = sub.add_parser("fit", help="fit the model and emit state probabilities")
-    _add_common(p)
     _add_input(p)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--restarts", type=int, default=3)
 
     p = sub.add_parser("risk", help="total-risk series from a fitted model")
-    _add_common(p)
     _add_input(p)
     p.add_argument("--model", required=True, help="fitted model JSON")
     p.add_argument("--tau1", type=float, default=0.05)
@@ -72,7 +70,6 @@ def _build_parser():
     p.add_argument("--probs", choices=("filtered", "smoothed"), default="filtered")
 
     p = sub.add_parser("shapley", help="Shapley attribution series")
-    _add_common(p)
     _add_input(p)
     p.add_argument("--model", required=True, help="fitted model JSON")
     p.add_argument("--tau1", type=float, default=0.05)
@@ -94,15 +91,19 @@ def _build_parser():
     return parser
 
 
+# Built once: parse_args leaves a parser unchanged, so every main() call reuses them.
+_PARSER = _build_parser()
+_CONFIG_PARSER = argparse.ArgumentParser(add_help=False)
+_CONFIG_PARSER.add_argument("--config")
+
+
 def _with_config(argv):
     """argv with the --config file's entries as flags ahead of the command-line ones.
 
     {"key": value} becomes --key=value and {"key": true} becomes --key, so
     argparse checks them like any flag and a later command-line flag wins.
     """
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    path = _CONFIG_PARSER.parse_known_args(argv)[0].config
     if not path:
         return argv
     with open(path, "r", encoding="utf-8") as fh:
@@ -213,7 +214,7 @@ def cmd_risk(args) -> int:
         h=args.horizon, probs=args.probs,
     )
     out = _outdir(args) / "risk.csv"
-    corisk.write_risk_csv(out, data.dates, data.names, series, measure=args.measure)
+    corisk.write_risk_csv(out, data.dates, data.names, series)
     print(f"wrote {out}")
     return 0
 
@@ -307,7 +308,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(_with_config(argv))
+        args = _PARSER.parse_args(_with_config(argv))
         return _COMMANDS[args.command](args)
     except (panel.PanelError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

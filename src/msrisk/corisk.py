@@ -30,6 +30,7 @@ from .panel import _write_csv
 from .predictive import PredictiveMixture, predictive_weight_path
 from .studentt import (
     _mvt_log_norm,
+    _stack_mvt,
     batched_mixture_quantile,
     batched_mixture_truncated_mean,
     marginal_mvt,
@@ -138,9 +139,7 @@ class CoRiskEngine:
         self.weights = np.atleast_2d(np.asarray(weights, dtype=float))
         if self.weights.ndim != 2 or self.weights.shape[1] != len(components):
             raise ValueError("weights must be T x L with one column per component")
-        self.mu = np.array([c.mu for c in components])
-        self.sigma = np.array([c.sigma for c in components])
-        self.nu = np.array([c.nu for c in components])
+        self.mu, self.sigma, _, self.nu = _stack_mvt(components)
         self.sd = np.sqrt(np.diagonal(self.sigma, axis1=1, axis2=2))
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(self.weights)
@@ -478,7 +477,7 @@ def standard_pairwise_delta(fit_bivariate: FitResult, target: int, measure: str 
     return values[:, 0, 0, 0] - values[:, 0, 0, 1]
 
 
-def write_risk_csv(path, dates, names, series_list, measure: str = "both") -> None:
+def write_risk_csv(path, dates, names, series_list) -> None:
     """Risk series CSV: (date, target, distress_set, measure, tau1, tau2, value).
 
     The distress set is encoded as the sorted member names joined by '+'.
@@ -486,15 +485,8 @@ def write_risk_csv(path, dates, names, series_list, measure: str = "both") -> No
     rows = []
     for s in series_list:
         dset = "+".join(sorted(names[j] for j in s.distress))
-        fields = {
-            "var": s.var,
-            "es": s.es,
-            "covar": s.covar,
-            "coes": s.coes,
-            "delta_covar": s.delta_covar,
-            "delta_coes": s.delta_coes,
-        }
-        for label, values in fields.items():
+        for label in ("var", "es", "covar", "coes", "delta_covar", "delta_coes"):
+            values = getattr(s, label)
             if values is None:
                 continue
             for t, d in enumerate(dates):

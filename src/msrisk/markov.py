@@ -10,6 +10,10 @@ selection, and JSON serialization of fitted models.  Per-time reductions
 over the short state axis are matrix-vector products or reductions over
 the leading axis of an L x T array.
 
+EM iterates on stacked arrays (_Params) and builds or checks no model
+object in its loop: MvtParams and MsTModel are validated where a model
+enters the library and once at a fit's result.
+
 Transition-matrix orientation: rows index the from-state and columns the
 to-state, i.e. transition[i, j] = P(S_t = j | S_{t-1} = i).
 """
@@ -18,13 +22,14 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
 from .panel import ReturnPanel
-from .studentt import MvtParams, _bracketed_newton, _logpdf_from_mahalanobis, mvt_mahalanobis
+from .studentt import MvtParams, _bracketed_newton, _stack_mvt, _stacked_logpdf
 
 NU_MIN = 2.1
 NU_MAX = 200.0
@@ -80,6 +85,15 @@ class MsTModel:
         return self.regimes[0].dim
 
 
+# Stacked parameters of an L-state model as EM carries them, unvalidated: mu
+# (L x p), sigma and its lower Cholesky factors chol (L x p x p), nu, Q and delta.
+_Params = namedtuple("_Params", "mu sigma chol nu transition initial")
+
+
+def _stack(model: MsTModel) -> _Params:
+    return _Params(*_stack_mvt(model.regimes), model.transition, model.initial)
+
+
 @dataclass
 class FitResult:
     """Estimation output: model, likelihood path and state probabilities."""
@@ -124,19 +138,6 @@ def _observations(panel) -> np.ndarray:
             f"observations must be finite: {y[row, col]!r} at row {row}, column {col}"
         )
     return y
-
-
-def _log_emissions(model: MsTModel, y: np.ndarray):
-    """L x T log emission densities and the T x L Mahalanobis forms behind them.
-
-    The L x T layout makes every per-time reduction over states a
-    contiguous reduction over the leading axis.
-    """
-    maha = np.stack([mvt_mahalanobis(y, r) for r in model.regimes])
-    log_b = np.stack(
-        [_logpdf_from_mahalanobis(d, r) for d, r in zip(maha, model.regimes)]
-    )
-    return log_b, maha.T
 
 
 def _scan_rows(seed, m):
@@ -199,8 +200,8 @@ def _scan_rows(seed, m):
     return scan(m, np.zeros(len(m)), ones / n)
 
 
-def _forward_backward(model: MsTModel, y: np.ndarray):
-    """State posteriors: (loglik, smoothed, filtered, successor, mahalanobis).
+def _forward_backward(log_b, transition, initial):
+    """State posteriors (loglik, smoothed, filtered, successor) from L x T log-emissions.
 
     With emissions shifted by their per-time maximum, b_t = exp(log b_t -
     shift_t), the forward variable is the row
@@ -212,21 +213,20 @@ def _forward_backward(model: MsTModel, y: np.ndarray):
     z_t = sum_j (alpha_t Q)_j (b * beta)[t+1, j], so that
     P(S_t = i, S_{t+1} = j | I_T) = alpha_t,i Q_ij successor[t, j].
     """
-    log_b, maha = _log_emissions(model, y)
     shift = log_b.max(axis=0)
     b = np.exp(log_b - shift).T
-    m = model.transition * b[1:, None, :]
-    filtered, log_scale, beta = _scan_rows(model.initial * b[0], m)
+    m = transition * b[1:, None, :]
+    filtered, log_scale, beta = _scan_rows(initial * b[0], m)
     loglik = float(log_scale[-1] + shift.sum())
-    ones = np.ones(model.n_states)
+    ones = np.ones(len(initial))
     post = filtered * beta
     smoothed = post / (post @ ones)[:, None]
     ahead = b[1:] * beta[1:]
-    z = ((filtered[:-1] @ model.transition) * ahead) @ ones
-    return loglik, smoothed, filtered, ahead / z[:, None], maha
+    z = ((filtered[:-1] @ transition) * ahead) @ ones
+    return loglik, smoothed, filtered, ahead / z[:, None]
 
 
-def _e_step(model: MsTModel, y: np.ndarray):
+def _e_step(params: _Params, y: np.ndarray):
     """One E-step: (loglik, smoothed, counts, filtered, mahalanobis).
 
     counts is the L x L matrix of expected transitions
@@ -234,22 +234,27 @@ def _e_step(model: MsTModel, y: np.ndarray):
     one matmul instead of a (T-1) x L x L pairwise array.  The T x L
     Mahalanobis forms feed the M-step.
     """
-    loglik, smoothed, filtered, successor, maha = _forward_backward(model, y)
-    counts = model.transition * (filtered[:-1].T @ successor)
-    return loglik, smoothed, counts, filtered, maha
+    log_b, maha = _stacked_logpdf(y, params.mu, params.chol, params.nu)
+    loglik, smoothed, filtered, successor = _forward_backward(
+        log_b, params.transition, params.initial
+    )
+    counts = params.transition * (filtered[:-1].T @ successor)
+    return loglik, smoothed, counts, filtered, maha.T
 
 
-def _model_observations(model: MsTModel, panel) -> np.ndarray:
-    """T x p observations of the panel, checked against the model's dimension."""
+def _model_posteriors(model: MsTModel, panel):
+    """_forward_backward of a model on a panel checked against its dimension."""
     y = _observations(panel)
     if y.shape[1] != model.dim:
         raise ValueError(f"panel dimension {y.shape[1]} != model dimension {model.dim}")
-    return y
+    params = _stack(model)
+    log_b, _ = _stacked_logpdf(y, params.mu, params.chol, params.nu)
+    return _forward_backward(log_b, params.transition, params.initial)
 
 
 def forward_loglik(model: MsTModel, panel) -> float:
     """Log-likelihood of the panel under the model, from the forward rows' log scales."""
-    return _forward_backward(model, _model_observations(model, panel))[0]
+    return _model_posteriors(model, panel)[0]
 
 
 def smooth(model: MsTModel, panel):
@@ -260,18 +265,14 @@ def smooth(model: MsTModel, panel):
       pairwise  (T-1) x L x L   P(S_t = i, S_{t+1} = j | I_T)
       filtered  T x L    P(S_t = l | I_t)
     """
-    _, smoothed, filtered, successor, _ = _forward_backward(
-        model, _model_observations(model, panel)
-    )
+    _, smoothed, filtered, successor = _model_posteriors(model, panel)
     pairwise = filtered[:-1, :, None] * model.transition * successor[:, None, :]
     return smoothed, pairwise, filtered
 
 
 def fit_from_model(model: MsTModel, panel) -> FitResult:
     """FitResult of a known model from one forward-backward pass (no estimation)."""
-    loglik, smoothed, filtered, _, _ = _forward_backward(
-        model, _model_observations(model, panel)
-    )
+    loglik, smoothed, filtered, _ = _model_posteriors(model, panel)
     return FitResult(
         model=model, loglik=loglik, iterations=0, converged=True,
         smoothed=smoothed, filtered=filtered,
@@ -332,7 +333,7 @@ def _uniformish_transition(L, diag=0.9):
     return q
 
 
-def _initial_model(y, L, init, seed) -> MsTModel:
+def _initial_params(y, L, init, seed) -> _Params:
     t_len, p = y.shape
     if init == "pca":
         # Quantile blocks of the first principal component's scores give
@@ -352,8 +353,9 @@ def _initial_model(y, L, init, seed) -> MsTModel:
             blocks = np.array_split(rng.permutation(t_len), L)
     else:
         raise ValueError(f"unknown init {init!r}")
-    regimes = [MvtParams(*_block_moments(y, b, p), 8.0) for b in blocks]
-    return MsTModel(regimes, _uniformish_transition(L), np.full(L, 1.0 / L))
+    mu, sigma = map(np.array, zip(*(_block_moments(y, b, p) for b in blocks)))
+    q, delta = _uniformish_transition(L), np.full(L, 1.0 / L)
+    return _Params(mu, sigma, np.linalg.cholesky(sigma), np.full(L, 8.0), q, delta)
 
 
 def _solve_nu(c, nu_old, p):
@@ -379,33 +381,34 @@ def _solve_nu(c, nu_old, p):
     return _bracketed_newton(minus_g, np.clip(nu_old, a, b), a, b, 1e-10)
 
 
-def _m_step(y, model, smoothed, counts, maha):
-    """One ECM M-step: moments per regime, then one conditioning check and one nu solve."""
+def _m_step(y, params, smoothed, counts, maha):
+    """One ECM M-step: moments per regime, then one conditioning check and one nu solve.
+
+    One batched Cholesky factors the new sigmas (LinAlgError if one is not PD).
+    """
     t_len, p = y.shape
-    L = model.n_states
-    mus, sigmas, c = [], np.empty((L, p, p)), np.empty(L)
-    for l, reg in enumerate(model.regimes):
+    L = len(params.nu)
+    mu, sigma, c = np.empty((L, p)), np.empty((L, p, p)), np.empty(L)
+    for l, nu in enumerate(params.nu):
         gam = smoothed[:, l]
         n_l = gam.sum()
         if n_l < p + 2:
             raise RegimeCollapseError(
                 f"regime {l} holds mass {n_l:.2f} < {p + 2} observations"
             )
-        u = (reg.nu + p) / (reg.nu + maha[:, l])
+        u = (nu + p) / (nu + maha[:, l])
         w = gam * u
-        mu = (w @ y) / w.sum()
-        dev = y - mu
-        sigma = (w[:, None] * dev).T @ dev / n_l
-        sigmas[l] = 0.5 * (sigma + sigma.T)
-        mus.append(mu)
+        mu[l] = (w @ y) / w.sum()
+        dev = y - mu[l]
+        s = (w[:, None] * dev).T @ dev / n_l
+        sigma[l] = 0.5 * (s + s.T)
         c[l] = gam @ (np.log(u) - u) / n_l
     # Condition number above 1e12, as the eigenvalue ratio of a symmetric
     # matrix; a rounding-negative smallest eigenvalue counts as singular.
-    eig = np.linalg.eigvalsh(sigmas)
+    eig = np.linalg.eigvalsh(sigma)
     for l in np.flatnonzero(eig[:, -1] > 1e12 * eig[:, 0]):
-        sigmas[l] += (1e-8 * np.trace(sigmas[l]) / p) * np.eye(p)
-    nus = _solve_nu(c, np.array([r.nu for r in model.regimes]), p)
-    regimes = [MvtParams(mu, sigma, nu) for mu, sigma, nu in zip(mus, sigmas, nus)]
+        sigma[l] += (1e-8 * np.trace(sigma[l]) / p) * np.eye(p)
+    nu = _solve_nu(c, params.nu, p)
     # A one-state chain has counts [[T - 1]], so q is [[1.0]] exactly.
     rows = counts.sum(axis=1, keepdims=True)
     rows[rows <= 0.0] = 1.0
@@ -413,17 +416,14 @@ def _m_step(y, model, smoothed, counts, maha):
     q /= q.sum(axis=1, keepdims=True)
     delta = np.clip(smoothed[0], 0.0, 1.0)
     delta /= delta.sum()
-    return MsTModel(regimes, q, delta)
+    return _Params(mu, sigma, np.linalg.cholesky(sigma), nu, q, delta)
 
 
-def _relabel(model, smoothed, filtered):
-    """Sort states by regime mean of the first series, descending."""
-    order = np.argsort([-r.mu[0] for r in model.regimes], kind="stable")
-    model = MsTModel(
-        [model.regimes[i] for i in order],
-        model.transition[np.ix_(order, order)],
-        model.initial[order],
-    )
+def _relabel(params, smoothed, filtered):
+    """The fit's one MsTModel, states sorted by regime mean of the first series, descending."""
+    order = np.argsort(-params.mu[:, 0], kind="stable")
+    regimes = [MvtParams(params.mu[i], params.sigma[i], params.nu[i]) for i in order]
+    model = MsTModel(regimes, params.transition[np.ix_(order, order)], params.initial[order])
     return model, smoothed[:, order], filtered[:, order]
 
 
@@ -457,13 +457,13 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
     when its relative change drops below tol.
     """
     y = _fit_observations(panel, L, tol)
-    model = _initial_model(y, L, init, seed)
+    params = _initial_params(y, L, init, seed)
     path = []
     prev = -np.inf
     converged = False
     iterations = 0
     for it in range(max_iter):
-        loglik, smoothed, counts, filtered, maha = _e_step(model, y)
+        loglik, smoothed, counts, filtered, maha = _e_step(params, y)
         slack = 1e-8 * (1.0 + abs(prev))
         if loglik < prev - slack:
             raise LikelihoodDecreaseError(
@@ -475,14 +475,14 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
             converged = True
             break
         prev = loglik
-        model = _m_step(y, model, smoothed, counts, maha)
+        params = _m_step(y, params, smoothed, counts, maha)
     else:
         # max_iter exhausted after an M-step: resynchronize posteriors.
-        loglik, smoothed, _, filtered, _ = _e_step(model, y)
+        loglik, smoothed, _, filtered, _ = _e_step(params, y)
         path.append(loglik)
         iterations = max_iter
 
-    model, smoothed, filtered = _relabel(model, smoothed, filtered)
+    model, smoothed, filtered = _relabel(params, smoothed, filtered)
     return FitResult(
         model=model,
         loglik=float(loglik),
@@ -512,12 +512,8 @@ def fit_restarts(panel, L, n_restarts=1, seed=0, *, tol=1e-8, max_iter=2000) -> 
     for r in range(n_restarts):
         init = "pca" if r == 0 else "random"
         try:
-            fit = em_fit(
-                panel, L, init=init, seed=seed + r, tol=tol, max_iter=max_iter
-            )
-        except (
-            RegimeCollapseError, LikelihoodDecreaseError, np.linalg.LinAlgError, ValueError
-        ) as exc:
+            fit = em_fit(panel, L, init=init, seed=seed + r, tol=tol, max_iter=max_iter)
+        except (RegimeCollapseError, LikelihoodDecreaseError, np.linalg.LinAlgError) as exc:
             last_error = exc
             continue
         if best is None or fit.loglik > best.loglik:

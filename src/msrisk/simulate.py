@@ -57,13 +57,12 @@ def sample_path(spec: SimSpec):
     states = np.clip(states, 0, L - 1)
 
     y = np.empty((t_len, p))
-    chols = [np.linalg.cholesky(r.sigma) for r in model.regimes]
     for t in range(t_len):
         rng = _stream(seed, t + 1)
         reg = model.regimes[states[t]]
         w = rng.gamma(shape=reg.nu / 2.0, scale=2.0 / reg.nu)
         z = rng.standard_normal(p)
-        y[t] = reg.mu + (chols[states[t]] @ z) / np.sqrt(w)
+        y[t] = reg.mu + (reg.chol @ z) / np.sqrt(w)
 
     start = datetime.date(2000, 1, 7)
     dates = [start + datetime.timedelta(weeks=t) for t in range(t_len)]

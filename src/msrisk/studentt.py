@@ -63,32 +63,10 @@ class MvtParams:
         return self._chol
 
 
-def mvt_mahalanobis(x, p: MvtParams):
-    """Quadratic form (x - mu)' sigma^{-1} (x - mu), batched over leading axes.
-
-    The deviations are whitened by W = chol^{-1}, one k x k LAPACK
-    triangular inverse, and a plain matmul.  scipy's triangular solve
-    (even with a k x k right-hand side) wakes the OpenBLAS worker threads,
-    which then spin between calls and double a fit's CPU time.
-    """
-    x = np.asarray(x, dtype=float)
-    dev = np.atleast_2d(x).reshape(-1, p.dim) - p.mu
-    whiten, _ = linalg.lapack.dtrtri(p.chol, lower=1)
-    sol = dev @ whiten.T
-    maha = np.einsum("ij,ij->i", sol, sol)
-    return maha[0] if x.ndim == 1 else maha.reshape(x.shape[:-1])
-
-
-def mvt_logpdf(x, p: MvtParams):
-    """Log-density of the multivariate Student-t.
-
-    Accepts a single vector of length k or an array of shape (..., k);
-    returns a scalar or an array of the leading shape respectively.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (p.dim,):
-        raise ValueError(f"x has dimension {x.shape[-1:]}, expected {p.dim}")
-    return _logpdf_from_mahalanobis(mvt_mahalanobis(x, p), p)
+def _stack_mvt(components):
+    """(mu, sigma, chol, nu) of MvtParams stacked along a leading regime axis."""
+    fields = ("mu", "sigma", "chol", "nu")
+    return tuple(np.array([getattr(c, f) for c in components]) for f in fields)
 
 
 def _mvt_log_norm(nu, k, logdet=0.0):
@@ -109,16 +87,47 @@ def _mvt_log_norm(nu, k, logdet=0.0):
     return log_ratio - 0.5 * k * np.log(nu * np.pi) - 0.5 * logdet
 
 
-def _logpdf_from_mahalanobis(maha, p: MvtParams):
-    """Log-density of the multivariate Student-t at points of Mahalanobis form maha."""
-    k, nu = p.dim, p.nu
-    logdet = 2.0 * np.sum(np.log(np.diag(p.chol)))
-    return _mvt_log_norm(nu, k, logdet) - 0.5 * (nu + k) * np.log1p(maha / nu)
+def _stacked_logpdf(x, mu, chol, nu):
+    """(L, N) log-densities and Mahalanobis forms of N points x (N, k) under L regimes.
+
+    The regimes come stacked and unvalidated: mu (L, k), lower Cholesky
+    factors chol (L, k, k), nu (L,).  Each whitens the deviations by
+    W = chol^{-1}, one LAPACK triangular inverse, and a plain matmul: scipy's
+    triangular solve wakes the OpenBLAS worker threads, which then spin and
+    double a fit's CPU time, and one (L, N, k) matmul is slower than the loop.
+    """
+    maha = np.empty((len(mu), len(x)))
+    for l in range(len(mu)):
+        whiten, _ = linalg.lapack.dtrtri(chol[l], lower=1)
+        sol = (x - mu[l]) @ whiten.T
+        maha[l] = np.einsum("ij,ij->i", sol, sol)
+    k = mu.shape[1]
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    nu, log_norm = nu[:, None], _mvt_log_norm(nu, k, logdet)[:, None]
+    return log_norm - 0.5 * (nu + k) * np.log1p(maha / nu), maha
 
 
-def _t_logpdf(z, nu):
-    """Log-density of the standardized univariate Student-t."""
-    return _mvt_log_norm(nu, 1) - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
+def _one_regime(x, p: MvtParams):
+    """_stacked_logpdf at x (k or (..., k)) under p alone, shaped like x's leading axes."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (p.dim,):
+        raise ValueError(f"x has dimension {x.shape[-1:]}, expected {p.dim}")
+    out = _stacked_logpdf(x.reshape(-1, p.dim), p.mu[None], p.chol[None], np.array([p.nu]))
+    return [a.reshape(x.shape[:-1])[()] for a in out]
+
+
+def mvt_mahalanobis(x, p: MvtParams):
+    """Quadratic form (x - mu)' sigma^{-1} (x - mu), batched over leading axes."""
+    return _one_regime(x, p)[1]
+
+
+def mvt_logpdf(x, p: MvtParams):
+    """Log-density of the multivariate Student-t.
+
+    Accepts a single vector of length k or an array of shape (..., k);
+    returns a scalar or an array of the leading shape respectively.
+    """
+    return _one_regime(x, p)[0]
 
 
 def t_cdf(z, nu):
@@ -147,7 +156,8 @@ def t_lower_partial(z, nu):
     if np.any(np.asarray(nu) <= 1.0):
         raise ValueError("partial expectation requires nu > 1")
     z = np.asarray(z, dtype=float)
-    return -np.exp(_t_logpdf(z, nu)) * (nu + z * z) / (nu - 1.0)
+    log_f = _mvt_log_norm(nu, 1) - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
+    return -np.exp(log_f) * (nu + z * z) / (nu - 1.0)
 
 
 def t_es(tau, nu):

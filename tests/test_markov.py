@@ -245,7 +245,7 @@ class TestScanOracle:
         # Cauchy-scale draws: far outliers make the emissions span many
         # orders of magnitude within a row.
         y = 3.0 * rng.standard_t(1.0, size=(t_len, 2))
-        loglik, smoothed, counts, filtered, _ = _e_step(model, y)
+        loglik, smoothed, counts, filtered, _ = _e_step(markov._stack(model), y)
         ref = sequential_e_step(model, y)
         _, pairwise, _ = smooth(model, y)
         assert pairwise.shape == (t_len - 1, L, L)
@@ -305,6 +305,23 @@ class TestEmFit:
         )
         fit = em_fit(y, 1, tol=1e-13, max_iter=5000)
         assert abs(fit.loglik - (-res.fun)) < 1e-6
+
+    def test_loop_builds_no_model_objects(self, monkeypatch):
+        # MvtParams and MsTModel are checked at the result, never per iteration.
+        counts = []
+        for cls in (MvtParams, MsTModel):
+            def counted(self, real=cls.__post_init__, name=cls.__name__):
+                counts.append(name)
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        y = simulated_panel(400, seed=116).returns
+        built = {}
+        for k in (5, 40):
+            counts.clear()
+            assert em_fit(y, 2, tol=1e-300, max_iter=k).iterations == k
+            built[k] = sorted(counts)
+        assert built[5] == built[40]
 
     def test_label_symmetry_across_inits(self):
         panel = simulated_panel(600, seed=102)
@@ -480,13 +497,15 @@ class TestMStepRidge:
         reg = MvtParams([0.0, 0.0], np.eye(2), 8.0)
         model = MsTModel([reg], np.array([[1.0]]), [1.0])
         maha = mvt_mahalanobis(y, reg)[:, None]
-        new = markov._m_step(y, model, np.ones((300, 1)), np.array([[299.0]]), maha)
+        new = markov._m_step(
+            y, markov._stack(model), np.ones((300, 1)), np.array([[299.0]]), maha
+        )
         sigma = self.weighted_sigma(y, reg)
         collinear = np.linalg.cond(sigma) > 1e12
         assert collinear == (noise < 1e-3)
         if collinear:
             sigma = sigma + 1e-8 * np.trace(sigma) / 2 * np.eye(2)
-        np.testing.assert_allclose(new.regimes[0].sigma, sigma, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(new.sigma[0], sigma, rtol=1e-12, atol=0.0)
 
 
 class TestRawArrayValidation:
@@ -563,6 +582,31 @@ class TestFitRestarts:
         assert seeds == [0, 1, 2, 3]
         assert best.loglik == max(f.loglik for f in fits.values())
         assert any(best is f for f in fits.values())
+
+    def test_linalg_error_start_is_skipped(self, monkeypatch):
+        panel = simulated_panel(300, seed=110)
+        real, seeds = markov.em_fit, []
+
+        def second_start_fails(panel, L, *, seed, **kwargs):
+            seeds.append(seed)
+            if seed == 1:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real(panel, L, seed=seed, **kwargs)
+
+        monkeypatch.setattr(markov, "em_fit", second_start_fails)
+        best = fit_restarts(panel, 2, n_restarts=3, seed=0)
+        assert seeds == [0, 1, 2]
+        assert best.loglik == max(real(panel, 2, init=init, seed=s).loglik
+                                  for init, s in (("pca", 0), ("random", 2)))
+
+    def test_bug_in_a_start_propagates(self, monkeypatch):
+        # Only estimation failures skip a start; any other error is a fault.
+        def bug(*args):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(markov, "_m_step", bug)
+        with pytest.raises(ValueError, match="^bug$"):
+            fit_restarts(simulated_panel(300, seed=110), 2, n_restarts=3)
 
     def test_argument_errors_raised_before_any_start(self, monkeypatch):
         starts = []

@@ -13,6 +13,8 @@ and how many pairs the change won, with the direction ("better") taken
 from the change's BENCHMARK.json.  It then runs the LAYERS timers on each
 INPUTS panel in LAYER_RUNS fresh interpreters of each checkout
 (alternating): the minimum over BLOCKS blocks of one call, best of the runs.
+The same interpreters time EM: one SELECT sweep on the chain panel, the
+minimum of SELECT_CALLS calls, best of the runs.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ LAYERS = {
     "total_risk_series.both": ("corisk", "total_risk_series", {"measure": "both"}),
     "attribution_series.covar": ("attribution", "attribution_series", {"measure": "covar"}),
 }
+# EM cost on short panels: the chain `msrisk select --L-range 2:6 --restarts 3`
+# sweep, 15 starts of a few hundred ECM iterations each at T=500.
+SELECT = {"L_range": range(2, 7), "n_restarts": 3}
+SELECT_CALLS = 3
 
 
 def source_digest(checkout: Path) -> str:
@@ -110,7 +116,8 @@ def summarize(pairs, better) -> dict:
 
 
 def time_layers():
-    """Min-of-BLOCKS milliseconds of one call of each LAYERS entry on each INPUTS panel."""
+    """Min-of-BLOCKS milliseconds of one call of each LAYERS entry on each INPUTS panel,
+    plus the min-of-SELECT_CALLS milliseconds of one SELECT sweep on the chain panel."""
     import contextlib
     import tempfile
 
@@ -123,7 +130,8 @@ def time_layers():
             with contextlib.redirect_stdout(sys.stderr):
                 cli.main(["simulate", *argv, "--out", f"{tmp}/{key}"])
             model, _ = markov.load_model(f"{tmp}/{key}/truth_model.json")
-            fit = markov.fit_from_model(model, panel.load_csv(f"{tmp}/{key}/panel.csv"))
+            data = panel.load_csv(f"{tmp}/{key}/panel.csv")
+            fit = markov.fit_from_model(model, data)
             for name, (module, function, kwargs) in LAYERS.items():
                 fn = getattr(modules[module], function)
                 start = time.perf_counter()
@@ -136,6 +144,13 @@ def time_layers():
                         fn(fit, **kwargs)
                     blocks.append((time.perf_counter() - start) / reps)
                 out[f"{name}@{key}"] = 1e3 * min(blocks)
+            if key == "chain":
+                calls = []
+                for _ in range(SELECT_CALLS):
+                    start = time.perf_counter()
+                    markov.select_L(data, **SELECT)
+                    calls.append(time.perf_counter() - start)
+                out[f"select_L@{key}"] = 1e3 * min(calls)
     return out
 
 
@@ -192,10 +207,13 @@ def main(argv=None) -> int:
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             runs[side].append(layer_ms(sides[side]))
     doc["layer_ms"] = {
-        "what": f"min over {BLOCKS} blocks of one call, best of {LAYER_RUNS} fresh "
-                "interpreters per side; name@input",
+        "what": f"min over {BLOCKS} blocks of one call (select_L: min of {SELECT_CALLS} "
+                f"calls), best of {LAYER_RUNS} fresh interpreters per side; name@input",
         "inputs": {key: ["msrisk", "simulate", *argv] for key, argv in INPUTS.items()},
-        "layers": {name: f"msrisk.{m}.{f}(fit, **{kw})" for name, (m, f, kw) in LAYERS.items()},
+        "layers": {
+            **{name: f"msrisk.{m}.{f}(fit, **{kw})" for name, (m, f, kw) in LAYERS.items()},
+            "select_L": f"msrisk.markov.select_L(panel, **{SELECT})",
+        },
         **{side: {k: min(r[k] for r in rs) for k in rs[0]} for side, rs in runs.items()},
     }
     with open(args.out, "w", encoding="utf-8") as fh:
