@@ -198,12 +198,7 @@ def cmd_fit(args) -> int:
 
 
 def _fit_from_model_file(args, data):
-    model, meta = markov.load_model(args.model)
-    if model.dim != data.n_series:
-        raise SystemExit(
-            f"model dimension {model.dim} != panel dimension {data.n_series}"
-        )
-    return markov.fit_from_model(model, data)
+    return markov.fit_from_model(markov.load_model(args.model)[0], data)
 
 
 def cmd_risk(args) -> int:

@@ -3,12 +3,12 @@
 Forward-backward state inference by one work-efficient odd-even scan that
 serves both directions (about T matrix products up, then T vector-matrix
 products down for the forward rows and T for the backward columns; no
-T x L x L prefix array), ECM estimation with per-observation
-gamma-scale weights, expected transition counts and one batched Newton
-solve for all degrees of freedom, information-criterion state-count
-selection, and JSON serialization of fitted models.  Per-time reductions
-over the short state axis are matrix-vector products or reductions over
-the leading axis of an L x T array.
+T x L x L prefix array), AECM estimation (gamma-scale weighted moments
+and expected transition counts, then one batched Newton solve of every
+regime's marginal-likelihood score in nu), information-criterion
+state-count selection, and JSON serialization of fitted models.
+Per-time reductions over the short state axis are matrix-vector products
+or reductions over the leading axis of an L x T array.
 
 EM iterates on stacked arrays (_Params) and builds or checks no model
 object in its loop: MvtParams and MsTModel are validated where a model
@@ -29,7 +29,8 @@ import numpy as np
 from scipy import special
 
 from .panel import ReturnPanel
-from .studentt import MvtParams, _bracketed_newton, _stack_mvt, _stacked_logpdf
+from .studentt import (MvtParams, _bracketed_newton, _stack_mvt, _stacked_logpdf,
+                       _stacked_mahalanobis)
 
 NU_MIN = 2.1
 NU_MAX = 200.0
@@ -86,8 +87,9 @@ class MsTModel:
 
 
 # Stacked parameters of an L-state model as EM carries them, unvalidated: mu
-# (L x p), sigma and its lower Cholesky factors chol (L x p x p), nu, Q and delta.
-_Params = namedtuple("_Params", "mu sigma chol nu transition initial")
+# (L x p), sigma and its lower Cholesky factors chol (L x p x p), nu, Q, delta
+# and, from an M-step, the L x T Mahalanobis forms of the panel (else None).
+_Params = namedtuple("_Params", "mu sigma chol nu transition initial maha", defaults=(None,))
 
 
 def _stack(model: MsTModel) -> _Params:
@@ -231,10 +233,11 @@ def _e_step(params: _Params, y: np.ndarray):
 
     counts is the L x L matrix of expected transitions
     sum_t P(S_t = i, S_{t+1} = j | I_T) = Q * (alpha[:-1].T @ successor),
-    one matmul instead of a (T-1) x L x L pairwise array.  The T x L
-    Mahalanobis forms feed the M-step.
+    one matmul instead of a (T-1) x L x L pairwise array.  The Mahalanobis
+    forms are the M-step's where it left them (params.maha), and their
+    T x L transpose feeds the next M-step.
     """
-    log_b, maha = _stacked_logpdf(y, params.mu, params.chol, params.nu)
+    log_b, maha = _stacked_logpdf(y, params.mu, params.chol, params.nu, params.maha)
     loglik, smoothed, filtered, successor = _forward_backward(
         log_b, params.transition, params.initial
     )
@@ -358,40 +361,53 @@ def _initial_params(y, L, init, seed) -> _Params:
     return _Params(mu, sigma, np.linalg.cholesky(sigma), np.full(L, 8.0), q, delta)
 
 
-def _solve_nu(c, nu_old, p):
-    """Roots of the weighted digamma stationarity equations on [NU_MIN, NU_MAX].
+def _nu_step(maha, w, nu_old, p):
+    """Each regime's nu in [NU_MIN, NU_MAX] maximising sum_t w_t log t_p(y_t; mu, sigma, nu).
 
-    One per entry of c and nu_old (one per regime), each decreasing in nu:
-    g(nu) = -psi(nu/2) + log(nu/2) + 1 + c + psi((nu_old+p)/2) - log((nu_old+p)/2),
-    g'(nu) = -psi'(nu/2)/2 + 1/nu < 0, with psi' = zeta(2, .).  A bound is
-    returned where g does not change sign on the bracket; the other entries
-    are solved together by _bracketed_newton on -g from nu_old, to 1e-10.
+    maha (L x T) holds the Mahalanobis forms under (mu, sigma), w (L x T x 1)
+    the weights gamma / n, which sum to 1.  With r = maha / (nu + maha),
+    minus twice the score, psi(nu/2) - psi((nu+p)/2) + p/nu
+    + sum w log(1 + maha/nu) - (nu+p)/nu sum w r, has the slope
+    (psi'(nu/2) - psi'((nu+p)/2))/2 - (p - 2p sum w r + (nu+p) sum w r^2)/nu^2,
+    psi' = zeta(2, .).  A regime whose score keeps its sign on the bracket
+    takes that bound; the others are solved by _bracketed_newton, to 1e-10.
     """
-    c = np.atleast_1d(c)
-    const = 1.0 + c + special.digamma(0.5 * (nu_old + p)) - np.log(0.5 * (nu_old + p))
+    L = len(nu_old)
 
-    def minus_g(nu, rows):
-        value = special.digamma(0.5 * nu) - np.log(0.5 * nu) - const[rows]
-        return value, 0.5 * special.zeta(2.0, 0.5 * nu) - 1.0 / nu
+    def minus_score(nu, rows):
+        m, col = maha[rows], nu[:, None]
+        terms = np.empty((len(m), 3, m.shape[1]))
+        np.log1p(np.divide(m, col, out=terms[:, 0]), out=terms[:, 0])
+        r = np.divide(m, np.add(col, m, out=terms[:, 1]), out=terms[:, 1])
+        np.multiply(r, r, out=terms[:, 2])
+        sum_log, sum_r, sum_r2 = np.matmul(terms, w[rows])[..., 0].T
+        half, upper, nu_p = 0.5 * nu, 0.5 * (nu + p), nu + p
+        value = (special.digamma(half) - special.digamma(upper) + p / nu + sum_log
+                 - nu_p / nu * sum_r)
+        slope = (0.5 * (special.zeta(2.0, half) - special.zeta(2.0, upper))
+                 - (p - 2.0 * p * sum_r + nu_p * sum_r2) / (nu * nu))
+        return value, slope
 
-    at_min = minus_g(np.full(c.shape, NU_MIN), slice(None))[0] >= 0.0
-    at_max = ~at_min & (minus_g(np.full(c.shape, NU_MAX), slice(None))[0] <= 0.0)
-    a = np.where(at_max, NU_MAX, NU_MIN)
+    ends, _ = minus_score(np.repeat([NU_MIN, NU_MAX], L), np.tile(np.arange(L), 2))
+    at_min = ends[:L] >= 0.0
+    a = np.where(~at_min & (ends[L:] <= 0.0), NU_MAX, NU_MIN)
     b = np.where(at_min, NU_MIN, NU_MAX)
-    return _bracketed_newton(minus_g, np.clip(nu_old, a, b), a, b, 1e-10)
+    return _bracketed_newton(minus_score, np.clip(nu_old, a, b), a, b, 1e-10)
 
 
 def _m_step(y, params, smoothed, counts, maha):
-    """One ECM M-step: moments per regime, then one conditioning check and one nu solve.
+    """One AECM M-step of two conditional maximisations (CM), neither lowering the likelihood.
 
-    One batched Cholesky factors the new sigmas (LinAlgError if one is not PD).
+    CM 1, with states and gamma scales missing: u-weighted moments for (mu,
+    sigma), one conditioning check, expected counts for (Q, delta).  CM 2,
+    with u integrated out: _nu_step at the new (mu, sigma), whose forms (one
+    batched Cholesky, LinAlgError if a sigma is not PD) go on to the E-step.
     """
-    t_len, p = y.shape
-    L = len(params.nu)
-    mu, sigma, c = np.empty((L, p)), np.empty((L, p, p)), np.empty(L)
+    p, L = y.shape[1], len(params.nu)
+    mu, sigma, n = np.empty((L, p)), np.empty((L, p, p)), np.empty(L)
     for l, nu in enumerate(params.nu):
         gam = smoothed[:, l]
-        n_l = gam.sum()
+        n[l] = n_l = gam.sum()
         if n_l < p + 2:
             raise RegimeCollapseError(
                 f"regime {l} holds mass {n_l:.2f} < {p + 2} observations"
@@ -402,13 +418,14 @@ def _m_step(y, params, smoothed, counts, maha):
         dev = y - mu[l]
         s = (w[:, None] * dev).T @ dev / n_l
         sigma[l] = 0.5 * (s + s.T)
-        c[l] = gam @ (np.log(u) - u) / n_l
     # Condition number above 1e12, as the eigenvalue ratio of a symmetric
     # matrix; a rounding-negative smallest eigenvalue counts as singular.
     eig = np.linalg.eigvalsh(sigma)
     for l in np.flatnonzero(eig[:, -1] > 1e12 * eig[:, 0]):
         sigma[l] += (1e-8 * np.trace(sigma[l]) / p) * np.eye(p)
-    nu = _solve_nu(c, params.nu, p)
+    chol = np.linalg.cholesky(sigma)
+    new_maha = _stacked_mahalanobis(y, mu, chol)
+    nu = _nu_step(new_maha, (smoothed / n).T[:, :, None], params.nu, p)
     # A one-state chain has counts [[T - 1]], so q is [[1.0]] exactly.
     rows = counts.sum(axis=1, keepdims=True)
     rows[rows <= 0.0] = 1.0
@@ -416,7 +433,7 @@ def _m_step(y, params, smoothed, counts, maha):
     q /= q.sum(axis=1, keepdims=True)
     delta = np.clip(smoothed[0], 0.0, 1.0)
     delta /= delta.sum()
-    return _Params(mu, sigma, np.linalg.cholesky(sigma), nu, q, delta)
+    return _Params(mu, sigma, chol, nu, q, delta, new_maha)
 
 
 def _relabel(params, smoothed, filtered):
@@ -446,22 +463,20 @@ def _fit_observations(panel, L, tol) -> np.ndarray:
 
 
 def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitResult:
-    """ECM estimation of the L-state Student-t Markov-switching model.
+    """AECM estimation (Meng & van Dyk 1997) of the L-state Student-t Markov-switching model.
 
-    E-step: exact forward-backward state posteriors plus per-(t, l)
-    gamma-scale weights u = (nu + p) / (nu + mahalanobis).  M-step:
-    doubly-weighted moments for (mu, sigma), expected-count updates for the
-    chain, then a one-dimensional root solve for each nu on
-    [2.1, 200].  A log-likelihood that decreases between iterations (beyond
-    1e-8 relative slack) raises LikelihoodDecreaseError; iteration stops
-    when its relative change drops below tol.
+    E-step: forward-backward state posteriors gamma and gamma-scale weights
+    u = (nu + p) / (nu + mahalanobis).  CM 1 raises the expected
+    complete-data log-likelihood in (mu, sigma, Q, delta), states and u
+    missing, so by the EM inequality it also raises Q_S, its version with u
+    integrated out; CM 2 maximises Q_S in each nu on [2.1, 200] (ECME, Liu &
+    Rubin 1995), so the log-likelihood cannot fall.  A fall beyond 1e-8
+    relative slack raises LikelihoodDecreaseError; iteration stops when the
+    relative change drops below tol.
     """
     y = _fit_observations(panel, L, tol)
     params = _initial_params(y, L, init, seed)
-    path = []
-    prev = -np.inf
-    converged = False
-    iterations = 0
+    path, prev, converged, iterations = [], -np.inf, False, 0
     for it in range(max_iter):
         loglik, smoothed, counts, filtered, maha = _e_step(params, y)
         slack = 1e-8 * (1.0 + abs(prev))
@@ -484,13 +499,8 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
 
     model, smoothed, filtered = _relabel(params, smoothed, filtered)
     return FitResult(
-        model=model,
-        loglik=float(loglik),
-        iterations=iterations,
-        converged=converged,
-        smoothed=smoothed,
-        filtered=filtered,
-        loglik_path=np.array(path),
+        model=model, loglik=float(loglik), iterations=iterations, converged=converged,
+        smoothed=smoothed, filtered=filtered, loglik_path=np.array(path),
     )
 
 
@@ -568,11 +578,7 @@ def model_to_dict(model: MsTModel, *, labels=None, loglik=None, t_len=None) -> d
         "L": L,
         "p": p,
         "regimes": [
-            {
-                "mu": r.mu.tolist(),
-                "sigma": r.sigma.reshape(-1).tolist(),
-                "nu": r.nu,
-            }
+            {"mu": r.mu.tolist(), "sigma": r.sigma.reshape(-1).tolist(), "nu": r.nu}
             for r in model.regimes
         ],
         "Q": model.transition.reshape(-1).tolist(),
@@ -588,18 +594,10 @@ def model_from_dict(doc: dict):
     """Inverse of model_to_dict; returns (model, metadata dict)."""
     L, p = doc["L"], doc["p"]
     regimes = [
-        MvtParams(
-            np.array(r["mu"]),
-            np.array(r["sigma"]).reshape(p, p),
-            r["nu"],
-        )
+        MvtParams(np.array(r["mu"]), np.array(r["sigma"]).reshape(p, p), r["nu"])
         for r in doc["regimes"]
     ]
-    model = MsTModel(
-        regimes,
-        np.array(doc["Q"]).reshape(L, L),
-        np.array(doc["delta"]),
-    )
+    model = MsTModel(regimes, np.array(doc["Q"]).reshape(L, L), np.array(doc["delta"]))
     meta = {k: doc.get(k) for k in ("labels", "loglik", "k", "T", "schema")}
     return model, meta
 

@@ -87,20 +87,27 @@ def _mvt_log_norm(nu, k, logdet=0.0):
     return log_ratio - 0.5 * k * np.log(nu * np.pi) - 0.5 * logdet
 
 
-def _stacked_logpdf(x, mu, chol, nu):
-    """(L, N) log-densities and Mahalanobis forms of N points x (N, k) under L regimes.
+def _stacked_mahalanobis(x, mu, chol):
+    """(L, N) Mahalanobis forms of N points x (N, k) under L stacked regimes.
 
-    The regimes come stacked and unvalidated: mu (L, k), lower Cholesky
-    factors chol (L, k, k), nu (L,).  Each whitens the deviations by
-    W = chol^{-1}, one LAPACK triangular inverse, and a plain matmul: scipy's
-    triangular solve wakes the OpenBLAS worker threads, which then spin and
-    double a fit's CPU time, and one (L, N, k) matmul is slower than the loop.
+    The regimes come unvalidated: mu (L, k) and lower Cholesky factors chol
+    (L, k, k).  Each whitens the deviations by W = chol^{-1}, one LAPACK
+    triangular inverse, and a plain matmul: scipy's triangular solve wakes
+    the OpenBLAS worker threads, which then spin and double a fit's CPU
+    time, and one (L, N, k) matmul is slower than the loop.
     """
     maha = np.empty((len(mu), len(x)))
     for l in range(len(mu)):
         whiten, _ = linalg.lapack.dtrtri(chol[l], lower=1)
         sol = (x - mu[l]) @ whiten.T
         maha[l] = np.einsum("ij,ij->i", sol, sol)
+    return maha
+
+
+def _stacked_logpdf(x, mu, chol, nu, maha=None):
+    """(L, N) log-densities under L regimes of x (N, k) and its forms, computed unless given."""
+    if maha is None:
+        maha = _stacked_mahalanobis(x, mu, chol)
     k = mu.shape[1]
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
     nu, log_norm = nu[:, None], _mvt_log_norm(nu, k, logdet)[:, None]

@@ -207,13 +207,14 @@ class TestRisk:
         assert measures == {"var", "es", "covar", "delta_covar"}
         assert all(float(r["tau1"]) == 0.05 for r in rows[:10])
 
-    def test_dimension_mismatch(self, sim_dir, sim3_dir, tmp_path):
-        with pytest.raises(SystemExit, match="dimension"):
-            main(
-                ["risk", "--input", str(sim3_dir / "panel.csv"),
-                 "--model", str(sim_dir / "truth_model.json"),
-                 "--out", str(tmp_path)]
-            )
+    def test_dimension_mismatch(self, sim_dir, sim3_dir, tmp_path, capsys):
+        code = main(
+            ["risk", "--input", str(sim3_dir / "panel.csv"),
+             "--model", str(sim_dir / "truth_model.json"),
+             "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "error: panel dimension 3 != model dimension" in capsys.readouterr().err
 
 
 class TestShapley:

@@ -7,14 +7,19 @@
 the workloads fit, risk and shapley the script runs `python3
 perfbench/run.py --workload W --seed 0 --seconds 10 --trace 0` in the two
 checkouts in turn, PAIRS times, parent first on odd pairs and change first
-on even ones, and keeps each run's end-to-end metrics, correctness and
-`machine` block.  Per metric it records both sides' medians and quartiles
-and how many pairs the change won, with the direction ("better") taken
-from the change's BENCHMARK.json.  It then runs the LAYERS timers on each
-INPUTS panel in LAYER_RUNS fresh interpreters of each checkout
-(alternating): the minimum over BLOCKS blocks of one call, best of the runs.
-The same interpreters time EM: one SELECT sweep on the chain panel, the
-minimum of SELECT_CALLS calls, best of the runs.
+on even ones (plus the EXTRA pairs at other seeds), and keeps each run's
+end-to-end metrics, correctness and `machine` block.  Per metric it records
+both sides' medians and quartiles and how many pairs the change won, with
+the direction ("better") taken from the change's BENCHMARK.json.  It then
+times the library in LAYER_RUNS fresh interpreters of each checkout
+(alternating), each on the INPUTS panels: the LAYERS co-risk calls on the
+risk, shapley and chain panels and one E-step and one M-step at the fitted
+parameters of the fit panel, each the minimum over BLOCKS blocks of one
+call; the em_fit of the fit panel and its iterations; and the chain
+commands' EM, the SELECT sweep and the COMPARE pairwise fits of `msrisk
+shapley --compare-standard`, each the minimum of EM_CALLS calls, with the
+iterations of all their EM starts.  Per timer it records every run and,
+per side, the best and the median of the runs.
 """
 
 from __future__ import annotations
@@ -32,26 +37,31 @@ from pathlib import Path
 WORKLOADS = ("fit", "risk", "shapley")
 PAIRS = 10
 SEED = 0
+# workload -> (seed, pairs) run after the PAIRS at SEED
+EXTRA = {"fit": (13, 5)}
 SECONDS = 10.0
 LAYER_RUNS = 5
 BLOCKS = 15
-# `msrisk simulate` arguments of the layer-timer panels, each evaluated at
-# its truth model: the perfbench risk and shapley inputs at seed 0 and the
-# north-star chain panel.
+# `msrisk simulate` arguments of the layer-timer panels: the perfbench risk,
+# shapley and fit inputs at seed 0 and the north-star chain panel.
 INPUTS = {
     "risk": ["--model", "perfbench/models/risk_truth.json", "--T", "12", "--seed", "0"],
     "shapley": ["--model", "perfbench/models/shapley_truth.json", "--T", "6", "--seed", "0"],
     "chain": ["--L", "2", "--p", "4", "--T", "500", "--seed", "7"],
+    "fit": ["--model", "perfbench/models/fit_truth.json", "--T", "8000", "--seed", "0"],
 }
-# name -> (msrisk module, function, keyword arguments), each called on the fit
+# name -> (msrisk module, function, keyword arguments), each called on the
+# fit of the truth model to the risk, shapley and chain panels
 LAYERS = {
     "total_risk_series.both": ("corisk", "total_risk_series", {"measure": "both"}),
     "attribution_series.covar": ("attribution", "attribution_series", {"measure": "covar"}),
 }
-# EM cost on short panels: the chain `msrisk select --L-range 2:6 --restarts 3`
-# sweep, 15 starts of a few hundred ECM iterations each at T=500.
+# EM cost on short panels, on the chain panel: the `msrisk select --L-range
+# 2:6 --restarts 3` sweep (15 starts at T=500) and the 6 pairwise L=2 fits of
+# 3 starts each of `msrisk shapley --compare-standard`.
 SELECT = {"L_range": range(2, 7), "n_restarts": 3}
-SELECT_CALLS = 3
+COMPARE = {"n_restarts": 3}
+EM_CALLS = 3
 
 
 def source_digest(checkout: Path) -> str:
@@ -62,20 +72,20 @@ def source_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def perfbench_command(workload: str) -> list:
-    return ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+def perfbench_command(workload: str, seed=SEED) -> list:
+    return ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", "0"]
 
 
-def run_perfbench(checkout: Path, workload: str) -> dict:
+def run_perfbench(checkout: Path, workload: str, seed: int = SEED) -> dict:
     proc = subprocess.run(
-        [sys.executable, *perfbench_command(workload)[1:]],
+        [sys.executable, *perfbench_command(workload, seed)[1:]],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
     if proc.returncode == 2 or not proc.stdout.strip():
         raise RuntimeError(f"perfbench in {checkout} failed: {proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    record_path = checkout / "perfbench" / "out" / f"{workload}-seed{SEED}-trace0.json"
+    record_path = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     with open(record_path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
     return {
@@ -115,15 +125,57 @@ def summarize(pairs, better) -> dict:
     return summary
 
 
+def min_block_ms(fn) -> float:
+    """Milliseconds of one fn() call: the minimum over BLOCKS blocks of ~50 ms."""
+    start = time.perf_counter()
+    fn()
+    reps = max(1, int(0.05 / (time.perf_counter() - start)))
+    blocks = []
+    for _ in range(BLOCKS):
+        start = time.perf_counter()
+        for _ in range(reps):
+            fn()
+        blocks.append((time.perf_counter() - start) / reps)
+    return 1e3 * min(blocks)
+
+
+def min_call_ms(fn) -> float:
+    """Milliseconds of the fastest of EM_CALLS fn() calls."""
+    calls = []
+    for _ in range(EM_CALLS):
+        start = time.perf_counter()
+        fn()
+        calls.append(time.perf_counter() - start)
+    return 1e3 * min(calls)
+
+
 def time_layers():
-    """Min-of-BLOCKS milliseconds of one call of each LAYERS entry on each INPUTS panel,
-    plus the min-of-SELECT_CALLS milliseconds of one SELECT sweep on the chain panel."""
+    """Timers (ms) and EM iteration counts of one interpreter, keyed name@input."""
     import contextlib
+    import itertools
     import tempfile
 
     from msrisk import attribution, cli, corisk, markov, panel
 
     modules = {"corisk": corisk, "attribution": attribution}
+    iterations = []
+    real_em_fit = markov.em_fit
+
+    def counted_em_fit(*args, **kwargs):
+        fit = real_em_fit(*args, **kwargs)
+        iterations.append(fit.iterations)
+        return fit
+
+    def em_cost(fn):
+        """(ms, EM iterations per call) of fn on the chain panel."""
+        iterations.clear()
+        markov.em_fit = counted_em_fit
+        try:
+            fn()
+        finally:
+            markov.em_fit = real_em_fit
+        return min_call_ms(fn), sum(iterations)
+
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for key, argv in INPUTS.items():
@@ -131,26 +183,32 @@ def time_layers():
                 cli.main(["simulate", *argv, "--out", f"{tmp}/{key}"])
             model, _ = markov.load_model(f"{tmp}/{key}/truth_model.json")
             data = panel.load_csv(f"{tmp}/{key}/panel.csv")
+            if key == "fit":
+                fit = markov.em_fit(data, model.n_states)
+                out[f"em_fit.iterations@{key}"] = fit.iterations
+                out[f"em_fit@{key}"] = min_call_ms(lambda: markov.em_fit(data, model.n_states))
+                # The E-step as the loop runs it: on what an M-step hands over.
+                y, params = data.returns, markov._stack(fit.model)
+                e_step = markov._e_step(params, y)
+                params = markov._m_step(y, params, *e_step[1:3], e_step[4])
+                e_step = markov._e_step(params, y)
+                out[f"_e_step@{key}"] = min_block_ms(lambda: markov._e_step(params, y))
+                out[f"_m_step@{key}"] = min_block_ms(
+                    lambda: markov._m_step(y, params, *e_step[1:3], e_step[4])
+                )
+                continue
             fit = markov.fit_from_model(model, data)
             for name, (module, function, kwargs) in LAYERS.items():
                 fn = getattr(modules[module], function)
-                start = time.perf_counter()
-                fn(fit, **kwargs)
-                reps = max(1, int(0.05 / (time.perf_counter() - start)))
-                blocks = []
-                for _ in range(BLOCKS):
-                    start = time.perf_counter()
-                    for _ in range(reps):
-                        fn(fit, **kwargs)
-                    blocks.append((time.perf_counter() - start) / reps)
-                out[f"{name}@{key}"] = 1e3 * min(blocks)
+                out[f"{name}@{key}"] = min_block_ms(lambda: fn(fit, **kwargs))
             if key == "chain":
-                calls = []
-                for _ in range(SELECT_CALLS):
-                    start = time.perf_counter()
-                    markov.select_L(data, **SELECT)
-                    calls.append(time.perf_counter() - start)
-                out[f"select_L@{key}"] = 1e3 * min(calls)
+                def compare():
+                    for i, j in itertools.combinations(range(data.n_series), 2):
+                        markov.fit_restarts(data.select([i, j]), model.n_states, **COMPARE)
+
+                sweeps = {"select_L": lambda: markov.select_L(data, **SELECT), "compare": compare}
+                for name, fn in sweeps.items():
+                    out[f"{name}@{key}"], out[f"{name}.iterations@{key}"] = em_cost(fn)
     return out
 
 
@@ -187,34 +245,52 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in WORKLOADS:
-        pairs = []
-        for i in range(1, PAIRS + 1):
-            order = ("parent", "change") if i % 2 else ("change", "parent")
-            pair = {"pair": i, "first": order[0]}
-            for side in order:
-                pair[side] = run_perfbench(sides[side], workload)
-            pairs.append(pair)
-            print(f"{workload} pair {i}: wall_s {pair['parent']['metrics']['wall_s']:.4g} -> "
-                  f"{pair['change']['metrics']['wall_s']:.4g}", file=sys.stderr)
-        doc["workloads"][workload] = {
-            "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
-            "summary": summarize(pairs, better),
-            "pairs": pairs,
-        }
+        seeds = [(SEED, PAIRS), EXTRA[workload]] if workload in EXTRA else [(SEED, PAIRS)]
+        for seed, n_pairs in seeds:
+            pairs = []
+            for i in range(1, n_pairs + 1):
+                order = ("parent", "change") if i % 2 else ("change", "parent")
+                pair = {"pair": i, "first": order[0]}
+                for side in order:
+                    pair[side] = run_perfbench(sides[side], workload, seed)
+                pairs.append(pair)
+                print(f"{workload} seed {seed} pair {i}: wall_s "
+                      f"{pair['parent']['metrics']['wall_s']:.4g} -> "
+                      f"{pair['change']['metrics']['wall_s']:.4g}", file=sys.stderr)
+            name = workload if seed == SEED else f"{workload}@seed{seed}"
+            doc["workloads"][name] = {
+                "seed": seed,
+                "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
+                "summary": summarize(pairs, better),
+                "pairs": pairs,
+            }
 
     runs = {side: [] for side in sides}
     for i in range(LAYER_RUNS):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             runs[side].append(layer_ms(sides[side]))
     doc["layer_ms"] = {
-        "what": f"min over {BLOCKS} blocks of one call (select_L: min of {SELECT_CALLS} "
-                f"calls), best of {LAYER_RUNS} fresh interpreters per side; name@input",
+        "what": f"{BLOCKS}-block minimum of one call (em_fit, select_L, compare: minimum "
+                f"of {EM_CALLS} calls) per fresh interpreter, {LAYER_RUNS} interpreters "
+                "per side in alternating order; *.iterations are EM iteration counts; "
+                "name@input",
         "inputs": {key: ["msrisk", "simulate", *argv] for key, argv in INPUTS.items()},
         "layers": {
             **{name: f"msrisk.{m}.{f}(fit, **{kw})" for name, (m, f, kw) in LAYERS.items()},
+            "em_fit": "msrisk.markov.em_fit(panel, L)",
+            "_e_step": "msrisk.markov._e_step(params, y), params from one _m_step at the fit",
+            "_m_step": "msrisk.markov._m_step(y, params, smoothed, counts, maha), same params",
             "select_L": f"msrisk.markov.select_L(panel, **{SELECT})",
+            "compare": f"msrisk.markov.fit_restarts(pair panel, L, **{COMPARE}) for 6 pairs",
         },
-        **{side: {k: min(r[k] for r in rs) for k in rs[0]} for side, rs in runs.items()},
+        "runs": runs,
+        **{
+            side: {
+                "best": {k: min(r[k] for r in rs) for k in rs[0]},
+                "median": {k: statistics.median(r[k] for r in rs) for k in rs[0]},
+            }
+            for side, rs in runs.items()
+        },
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
