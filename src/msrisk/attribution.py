@@ -16,7 +16,7 @@ import numpy as np
 
 from .corisk import MEASURES, CoRiskEngine, coalition_masks
 from .markov import FitResult
-from .panel import _write_csv
+from .panel import _write_blocks
 from .predictive import PredictiveMixture, build_predictive
 
 MAX_PLAYERS = 20
@@ -195,14 +195,10 @@ def vis_a_vis(fit: FitResult, pair, measure: str = "covar", tau1: float = 0.05,
 
 def write_attribution_csv(path, dates, names, series: AttributionSeries) -> None:
     """Attribution CSV: (date, target, contributor, measure, share, grand_value)."""
-    rows = [
-        (d.isoformat(), names[i], names[j], series.measure,
-         repr(float(values[t])), repr(float(series.grand[i][t])))
-        for (i, j), values in sorted(series.shares.items())
-        for t, d in enumerate(dates)
-    ]
-    _write_csv(
-        path, ["date", "target", "contributor", "measure", "share", "grand_value"], rows
+    _write_blocks(
+        path, ["date", "target", "contributor", "measure", "share", "grand_value"], dates,
+        [((names[i], names[j], series.measure), (values, series.grand[i]))
+         for (i, j), values in sorted(series.shares.items())],
     )
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attribution, corisk, markov, panel, simulate
-from .panel import _write_csv
+from .panel import _write_blocks, _write_csv
 from .studentt import MvtParams
 
 
@@ -138,15 +138,11 @@ def cmd_stats(args) -> int:
     stats = panel.summary_stats(data, alpha=args.alpha)
     out = _outdir(args) / "summary.csv"
     columns = ("minimum", "maximum", "mean", "std", "skewness", "kurtosis", "quantile", "jb")
-    rows = [
-        (name, *(repr(float(getattr(stats, c)[i])) for c in columns))
-        for i, name in enumerate(stats.names)
-    ]
     _write_csv(
         out,
         ["name", "min", "max", "mean", "std", "skewness", "kurtosis",
          f"quantile_{stats.alpha}", "jb"],
-        rows,
+        [stats.names, *(getattr(stats, c) for c in columns)],
     )
     print(f"wrote {out}")
     return 0
@@ -166,12 +162,14 @@ def cmd_select(args) -> int:
         n_restarts=args.restarts, seed=args.seed,
     )
     out = _outdir(args) / "selection.csv"
-    rows = [
-        (r.L, repr(r.loglik), r.k, repr(r.aic), repr(r.bic),
-         "chosen" if r.L == table.chosen else "", r.error)
-        for r in table.rows
-    ]
-    _write_csv(out, ["L", "loglik", "k", "aic", "bic", "chosen", "error"], rows)
+    rows = table.rows
+    _write_csv(
+        out,
+        ["L", "loglik", "k", "aic", "bic", "chosen", "error"],
+        [[r.L for r in rows], np.array([r.loglik for r in rows]), [r.k for r in rows],
+         np.array([r.aic for r in rows]), np.array([r.bic for r in rows]),
+         ["chosen" if r.L == table.chosen else "" for r in rows], [r.error for r in rows]],
+    )
     print(f"wrote {out} (chosen L={table.chosen} by {table.criterion})")
     return 0
 
@@ -187,11 +185,7 @@ def cmd_fit(args) -> int:
     )
     probs_path = outdir / "smoothed.csv"
     header = ["date"] + [f"state_{l+1}" for l in range(fit.model.n_states)]
-    rows = (
-        [d.isoformat(), *map(repr, probs)]
-        for d, probs in zip(data.dates, fit.smoothed.tolist())
-    )
-    _write_csv(probs_path, header, rows)
+    _write_csv(probs_path, header, [data.dates, *fit.smoothed.T])
     print(f"wrote {model_path} and {probs_path} (loglik={fit.loglik:.3f}, "
           f"converged={fit.converged})")
     return 0
@@ -242,15 +236,11 @@ def cmd_shapley(args) -> int:
                     tau1=args.tau1, tau2=args.tau2,
                     h=args.horizon, probs=args.probs,
                 )
-        rows = [
-            (d.isoformat(), data.names[i], data.names[j], args.measure,
-             repr(float(deltas[i, j][t])))
-            for i, j in sorted(deltas)
-            for t, d in enumerate(data.dates)
-        ]
         std_path = outdir / "standard_delta.csv"
-        _write_csv(
-            std_path, ["date", "target", "conditioner", "measure", "delta"], rows
+        _write_blocks(
+            std_path, ["date", "target", "conditioner", "measure", "delta"], data.dates,
+            [((data.names[i], data.names[j], args.measure), (deltas[i, j],))
+             for i, j in sorted(deltas)],
         )
         written.append(std_path)
     print("wrote " + ", ".join(str(w) for w in written))
@@ -273,17 +263,18 @@ def _default_model(L, p, seed):
 def cmd_simulate(args) -> int:
     if args.model:
         model, _ = markov.load_model(args.model)
+        if model.dim < 2:
+            raise ValueError(f"model dimension {model.dim}: a panel needs at least two series")
+    elif args.L < 1:
+        raise ValueError("--L must be >= 1")
+    elif args.p < 2:
+        raise ValueError("--p must be >= 2: a panel needs at least two series")
     else:
         model = _default_model(args.L, args.p, args.seed)
     states, data = simulate.sample_path(simulate.SimSpec(model, args.T, args.seed))
     outdir = _outdir(args)
     panel_path = outdir / "panel.csv"
-    header = ["date"] + list(data.names)
-    rows = (
-        [d.isoformat(), *map(repr, values)]
-        for d, values in zip(data.dates, data.returns.tolist())
-    )
-    _write_csv(panel_path, header, rows)
+    _write_csv(panel_path, ["date", *data.names], [data.dates, *data.returns.T])
     truth_path = outdir / "truth_model.json"
     markov.save_model(truth_path, model, labels=data.names, t_len=args.T)
     print(f"wrote {panel_path} and {truth_path}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import FitResult, MsTModel
-from .panel import _write_csv
+from .panel import _write_blocks
 from .predictive import PredictiveMixture, predictive_weight_path
 from .studentt import (
     _mvt_log_norm,
@@ -482,18 +482,11 @@ def write_risk_csv(path, dates, names, series_list) -> None:
 
     The distress set is encoded as the sorted member names joined by '+'.
     """
-    rows = []
-    for s in series_list:
-        dset = "+".join(sorted(names[j] for j in s.distress))
-        for label in ("var", "es", "covar", "coes", "delta_covar", "delta_coes"):
-            values = getattr(s, label)
-            if values is None:
-                continue
-            for t, d in enumerate(dates):
-                rows.append(
-                    (d.isoformat(), names[s.target], dset, label,
-                     s.tau1, s.tau2, repr(float(values[t])))
-                )
-    _write_csv(
-        path, ["date", "target", "distress_set", "measure", "tau1", "tau2", "value"], rows
+    _write_blocks(
+        path, ["date", "target", "distress_set", "measure", "tau1", "tau2", "value"], dates,
+        [((names[s.target], "+".join(sorted(names[j] for j in s.distress)), label,
+           s.tau1, s.tau2), (getattr(s, label),))
+         for s in series_list
+         for label in ("var", "es", "covar", "coes", "delta_covar", "delta_coes")
+         if getattr(s, label) is not None],
     )

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,17 +95,116 @@ class SummaryStats:
     alpha: float
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write a CSV output file: the schema line, the header, then the rows.
+def _quoted(text: str) -> str:
+    """text as csv.writer's minimal quoting writes it.
 
-    Every CSV the package writes goes through here.  Private, so a traced
-    run charges the write to the caller that built the rows.
+    A cell holding the delimiter, a quote or a line break is wrapped in
+    double quotes with each inner quote doubled; any other cell is written
+    as it is.
     """
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _label(value) -> str:
+    """One label cell: a date in ISO form, None empty, anything else str(), then quoted."""
+    if isinstance(value, datetime.date):
+        return value.isoformat()
+    return _quoted("" if value is None else str(value))
+
+
+def _cells(column) -> list:
+    """The cells of one column, formatted once per distinct label or per float."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    text = {value: _label(value) for value in dict.fromkeys(column)}
+    return list(map(text.__getitem__, column))
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write a CSV output file: the schema line, the header, then one row per index.
+
+    Every CSV the package writes goes through here, and it writes the bytes
+    csv.writer would for the same rows (``\\r\\n`` line ends, minimal quoting).
+    The rows are given as columns of one length.  A float ndarray column is
+    written cell by cell as repr of the value, over one ``tolist()``; any
+    other column holds labels (dates, names, ints, floats, None), and each
+    distinct label is formatted once: a date in ISO form, None as an empty
+    cell, anything else as str(), quoted where csv would quote it.  The
+    body is joined once and written once.  Private, so a traced run charges
+    the write to the caller that built the columns.
+    """
+    cells = [_cells(column) for column in columns]
+    if len({len(column) for column in cells}) > 1:
+        raise ValueError("CSV columns differ in length")
+    lines = [",".join(map(_quoted, header)), *map(",".join, zip(*cells)), ""]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(CSV_SCHEMA + "\n" + "\r\n".join(lines))
+
+
+def _write_blocks(path, header, dates, blocks) -> None:
+    """_write_csv of rows in blocks of one row per date.
+
+    blocks holds (labels, series) pairs; block b writes the rows
+    (dates[t], *labels, *(s[t] for s in series)) for t in turn.  Each
+    date is formatted once, however many blocks repeat it.
+    """
+    if not blocks:
+        _write_csv(path, header, [[] for _ in header])
+        return
+    labels, series = zip(*blocks)
+    t_len = len(dates)
+    _write_csv(path, header, [
+        tuple(dates) * len(blocks),
+        *(list(itertools.chain.from_iterable(itertools.repeat(v, t_len) for v in column))
+          for column in zip(*labels)),
+        *(np.concatenate(column, dtype=float) for column in zip(*series)),
+    ])
+
+
+def _is_comment(row) -> bool:
+    return row[0].lstrip().startswith("#")
+
+
+# Data lines holding any of these take the row loop.  Past a quote or NUL,
+# splitting a line on "," no longer gives csv.reader's cells; str.splitlines
+# ends a line at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, where csv.reader
+# does not; and np.loadtxt strips \x1c-\x1f as whitespace, so it would read
+# a cell holding one that float() rejects.
+_ROW_LOOP_CHARS = '"\0\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029'
+
+
+def _parse_body(body: str, width: int, date_idx: int, value_idx: list):
+    """(dates, values) of the data lines in one np.loadtxt call, or None.
+
+    None means the lines need the row loop: a line holds one of
+    _ROW_LOOP_CHARS, a row is ragged, a cell does not parse, there are no
+    rows, or the date column is also a value column.  A result, when there is one, is the row loop's: without
+    those characters a line's cells are its ","-separated fields, and
+    loadtxt reads a float exactly where float() does.
+    """
+    if any(c in body for c in _ROW_LOOP_CHARS):
+        return None
+    lines = list(filter(None, body.splitlines()))
+    if "#" in body:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    if not lines or date_idx in value_idx:
+        return None
+    # One field per column: the values as floats, every other cell as text,
+    # so loadtxt also checks that each row has exactly `width` cells.
+    value_set = set(value_idx)
+    dtype = [(f"c{i}", float if i in value_set else object) for i in range(width)]
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        if len(table) != len(lines):  # loadtxt skipped a line the loop would not
+            return None
+        dates = list(map(
+            datetime.date.fromisoformat, map(str.strip, table[f"c{date_idx}"].tolist())
+        ))
+    except ValueError:
+        return None
+    return dates, np.column_stack([table[f"c{i}"] for i in value_idx])
 
 
 def load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
@@ -111,14 +212,26 @@ def load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
 
     date_column / value_columns select columns by header name; by default
     the first column holds dates and every other column is a value series.
-    Lines starting with '#' (schema headers) are skipped.  Any row with an
-    unparseable cell is an error naming the offending row numbers.
+    Rows whose first cell starts with '#' (schema headers) and empty lines
+    are skipped.  Any row with an unparseable cell is an error naming the
+    offending row numbers (counted over the rows kept, the header being 1).
+
+    The file is read once.  The header row is parsed with csv, so quoted
+    names work; the data lines are parsed in one np.loadtxt call, with one
+    date.fromisoformat per row.  Where that parse cannot give csv.reader's
+    cells or float()'s values, and on any error, the rows go through the
+    csv.reader loop of one float() per cell instead, so the result, or the
+    ragged-row or unparseable-rows error, is always that loop's: cells such
+    as ``1_000`` or non-ASCII digits, which float() reads and loadtxt does
+    not, still load.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
+        reader = csv.reader(fh)
+        header = next((r for r in reader if r and not _is_comment(r)), None)
+        body = fh.read()
+    if header is None:
         raise PanelError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
     if date_column is None:
         date_idx = 0
     else:
@@ -135,9 +248,19 @@ def load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
     if not value_idx:
         raise PanelError(f"{path}: no value columns")
 
+    parsed = _parse_body(body, len(header), date_idx, value_idx)
+    if parsed is None:
+        parsed = _parse_rows(path, body, len(header), date_idx, value_idx)
+    dates, values = parsed
+    return ReturnPanel(dates, [header[i] for i in value_idx], values)
+
+
+def _parse_rows(path, body: str, width: int, date_idx: int, value_idx: list):
+    """(dates, values) of the data lines by csv.reader and one float() per cell."""
+    rows = [r for r in csv.reader(io.StringIO(body, newline="")) if r and not _is_comment(r)]
     dates, values, bad_rows = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != width:
             raise PanelError(f"{path}: ragged row at line {lineno}")
         try:
             dates.append(datetime.date.fromisoformat(row[date_idx].strip()))
@@ -148,7 +271,7 @@ def load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
         raise PanelError(f"{path}: unparseable cells in rows {bad_rows}")
     if not dates:
         raise PanelError(f"{path}: no data rows")
-    return ReturnPanel(dates, [header[i] for i in value_idx], np.array(values))
+    return dates, np.array(values)
 
 
 def prices_to_log_returns(prices):

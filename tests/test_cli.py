@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from msrisk import load_csv
+from msrisk import MsTModel, MvtParams, load_csv
 from msrisk.cli import main
-from msrisk.markov import load_model
+from msrisk.markov import load_model, save_model
 
 
 def read_rows(path):
@@ -64,6 +64,27 @@ class TestSimulate:
         assert (tmp_path / "panel.csv").read_text() == (
             sim_dir / "panel.csv"
         ).read_text()
+
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--L", "0", "error: --L must be >= 1\n"),
+        ("--p", "1", "error: --p must be >= 2: a panel needs at least two series\n"),
+    ])
+    def test_bad_size_is_an_argument_error(self, tmp_path, capsys, flag, value, message):
+        code = main(["simulate", flag, value, "--T", "20", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "panel.csv").exists()
+
+    def test_one_series_model_is_an_error(self, tmp_path, capsys):
+        model = MsTModel([MvtParams([0.0], [[1.0]], 5.0)], [[1.0]], [1.0])
+        save_model(tmp_path / "one.json", model)
+        code = main(["simulate", "--model", str(tmp_path / "one.json"), "--T", "20",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: model dimension 1: a panel needs at least two series\n"
+        )
 
 
 class TestStats:

@@ -18,8 +18,11 @@ parameters of the fit panel, each the minimum over BLOCKS blocks of one
 call; the em_fit of the fit panel and its iterations; and the chain
 commands' EM, the SELECT sweep and the COMPARE pairwise fits of `msrisk
 shapley --compare-standard`, each the minimum of EM_CALLS calls, with the
-iterations of all their EM starts.  Per timer it records every run and,
-per side, the best and the median of the runs.
+iterations of all their EM starts; the load_csv of every INPUTS panel
+(minimum over BLOCKS blocks) and one in-process `msrisk fit --L 2
+--restarts 1` pass on the fit panel (minimum of EM_CALLS calls), so that
+cli_fit - em_fit is the pass's input and output cost.  Per timer it records
+every run and, per side, the best and the median of the runs.
 """
 
 from __future__ import annotations
@@ -182,11 +185,17 @@ def time_layers():
             with contextlib.redirect_stdout(sys.stderr):
                 cli.main(["simulate", *argv, "--out", f"{tmp}/{key}"])
             model, _ = markov.load_model(f"{tmp}/{key}/truth_model.json")
-            data = panel.load_csv(f"{tmp}/{key}/panel.csv")
+            panel_path = f"{tmp}/{key}/panel.csv"
+            data = panel.load_csv(panel_path)
+            out[f"load_csv@{key}"] = min_block_ms(lambda: panel.load_csv(panel_path))
             if key == "fit":
                 fit = markov.em_fit(data, model.n_states)
                 out[f"em_fit.iterations@{key}"] = fit.iterations
                 out[f"em_fit@{key}"] = min_call_ms(lambda: markov.em_fit(data, model.n_states))
+                argv = ["fit", "--input", panel_path, "--L", str(model.n_states),
+                        "--restarts", "1", "--out", f"{tmp}/{key}/fit"]
+                with contextlib.redirect_stdout(sys.stderr):
+                    out[f"cli_fit@{key}"] = min_call_ms(lambda: cli.main(argv))
                 # The E-step as the loop runs it: on what an M-step hands over.
                 y, params = data.returns, markov._stack(fit.model)
                 e_step = markov._e_step(params, y)
@@ -270,14 +279,17 @@ def main(argv=None) -> int:
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             runs[side].append(layer_ms(sides[side]))
     doc["layer_ms"] = {
-        "what": f"{BLOCKS}-block minimum of one call (em_fit, select_L, compare: minimum "
-                f"of {EM_CALLS} calls) per fresh interpreter, {LAYER_RUNS} interpreters "
+        "what": f"{BLOCKS}-block minimum of one call (em_fit, cli_fit, select_L, compare: "
+                f"minimum of {EM_CALLS} calls) per fresh interpreter, {LAYER_RUNS} interpreters "
                 "per side in alternating order; *.iterations are EM iteration counts; "
                 "name@input",
         "inputs": {key: ["msrisk", "simulate", *argv] for key, argv in INPUTS.items()},
         "layers": {
             **{name: f"msrisk.{m}.{f}(fit, **{kw})" for name, (m, f, kw) in LAYERS.items()},
             "em_fit": "msrisk.markov.em_fit(panel, L)",
+            "load_csv": "msrisk.panel.load_csv(panel.csv)",
+            "cli_fit": "msrisk.cli.main(['fit', '--input', panel.csv, '--L', L, "
+                       "'--restarts', '1', '--out', dir])",
             "_e_step": "msrisk.markov._e_step(params, y), params from one _m_step at the fit",
             "_m_step": "msrisk.markov._m_step(y, params, smoothed, counts, maha), same params",
             "select_L": f"msrisk.markov.select_L(panel, **{SELECT})",
