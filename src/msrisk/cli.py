@@ -263,8 +263,6 @@ def _default_model(L, p, seed):
 def cmd_simulate(args) -> int:
     if args.model:
         model, _ = markov.load_model(args.model)
-        if model.dim < 2:
-            raise ValueError(f"model dimension {model.dim}: a panel needs at least two series")
     elif args.L < 1:
         raise ValueError("--L must be >= 1")
     elif args.p < 2:

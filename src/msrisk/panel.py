@@ -214,7 +214,9 @@ def load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
     the first column holds dates and every other column is a value series.
     Rows whose first cell starts with '#' (schema headers) and empty lines
     are skipped.  Any row with an unparseable cell is an error naming the
-    offending row numbers (counted over the rows kept, the header being 1).
+    offending row numbers (counted over the rows kept, the header being 1);
+    a line the csv module rejects, such as one with a cell over its field
+    size limit, is an error naming that line of the file.
 
     The file is read once.  The header row is parsed with csv, so quoted
     names work; the data lines are parsed in one np.loadtxt call, with one
@@ -227,7 +229,10 @@ def load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next((r for r in reader if r and not _is_comment(r)), None)
+        try:
+            header = next((r for r in reader if r and not _is_comment(r)), None)
+        except csv.Error as exc:
+            raise PanelError(f"{path}: line {reader.line_num}: {exc}") from None
         body = fh.read()
     if header is None:
         raise PanelError(f"{path}: empty file")
@@ -250,14 +255,22 @@ def load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
 
     parsed = _parse_body(body, len(header), date_idx, value_idx)
     if parsed is None:
-        parsed = _parse_rows(path, body, len(header), date_idx, value_idx)
+        parsed = _parse_rows(path, body, len(header), date_idx, value_idx, reader.line_num)
     dates, values = parsed
     return ReturnPanel(dates, [header[i] for i in value_idx], values)
 
 
-def _parse_rows(path, body: str, width: int, date_idx: int, value_idx: list):
-    """(dates, values) of the data lines by csv.reader and one float() per cell."""
-    rows = [r for r in csv.reader(io.StringIO(body, newline="")) if r and not _is_comment(r)]
+def _parse_rows(path, body: str, width: int, date_idx: int, value_idx: list, offset: int):
+    """(dates, values) of the data lines by csv.reader and one float() per cell.
+
+    offset is the number of file lines before the body, so that a csv
+    error names its line of the file.
+    """
+    reader = csv.reader(io.StringIO(body, newline=""))
+    try:
+        rows = [r for r in reader if r and not _is_comment(r)]
+    except csv.Error as exc:
+        raise PanelError(f"{path}: line {offset + reader.line_num}: {exc}") from None
     dates, values, bad_rows = [], [], []
     for lineno, row in enumerate(rows, start=2):
         if len(row) != width:

@@ -3,9 +3,14 @@
 The oracles here deliberately avoid the library's fast code paths: the
 joint density is evaluated via explicit matrix inversion (no Cholesky
 machinery shared with the conditioning code) and likelihoods are summed
-over explicitly enumerated state paths.  Sampling uses the normal-over-
-gamma scale-mixture representation of the Student-t with counter-based
-seeding so parallel draws reproduce serial output.
+over explicitly enumerated state paths.
+
+Sampling uses the normal-over-gamma scale-mixture representation of the
+Student-t with counter-based streams: stream k is Philox keyed by
+(seed mod 2**64, k) from counter 0, stream 0 drives the chain and stream
+t + 1 observation t.  So draw t depends only on (seed, t), never on T or on
+the order in which draws are made, and a shorter path is a prefix of a
+longer one at the same seed.
 """
 
 from __future__ import annotations
@@ -20,6 +25,11 @@ from scipy.special import gammaln, logsumexp
 from .markov import MsTModel
 from .panel import ReturnPanel
 
+# Date of the first simulated observation; later ones follow weekly.
+START = datetime.date(2000, 1, 7)
+# Longest path whose last weekly date is still a datetime.date (9999-12-31).
+MAX_T = (datetime.date.max - START).days // 7 + 1
+
 
 @dataclass(frozen=True)
 class SimSpec:
@@ -30,46 +40,78 @@ class SimSpec:
     seed: int
 
     def __post_init__(self):
+        if self.model.dim < 2:
+            raise ValueError(
+                f"model dimension {self.model.dim}: a panel needs at least two series"
+            )
         if self.T < 1:
             raise ValueError("T must be >= 1")
-
-
-def _stream(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed % (1 << 64), stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+        if self.T > MAX_T:
+            raise ValueError(
+                f"T = {self.T}: weekly dates from {START} end after "
+                f"{datetime.date.max}; T must be <= {MAX_T}"
+            )
 
 
 def sample_path(spec: SimSpec):
     """Draw (states, panel) from the generative model.
 
-    The chain is drawn from stream 0; observation t from stream t + 1, so
-    per-time draws are reproducible independently of evaluation order.
+    One Philox bit generator serves the whole path: before each stream it is
+    reset to the state Philox(key=(seed mod 2**64, k)) starts from (counter
+    0, empty buffer), so stream 0 gives the T chain uniforms and stream
+    t + 1 the gamma scale and then the p normals of observation t.  Draw t
+    thus depends only on (seed, t).  The chain steps through a successor
+    table, one searchsorted of the uniforms per from-state, with every step
+    clipped to the last state (a uniform above a row's rounded cumulative
+    sum would otherwise name state L).
     """
-    model, t_len, seed = spec.model, spec.T, spec.seed
+    model, t_len = spec.model, spec.T
     L, p = model.n_states, model.dim
+    key = np.array([spec.seed % (1 << 64), 0], dtype=np.uint64)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_gen = np.random.Philox(key=key)
+    rng = np.random.Generator(bit_gen)
 
-    u = _stream(seed, 0).uniform(size=t_len)
-    states = np.empty(t_len, dtype=int)
-    states[0] = np.searchsorted(np.cumsum(model.initial), u[0])
+    u = rng.uniform(size=t_len)
+    successor = [
+        np.minimum(np.searchsorted(row, u), L - 1).tolist()
+        for row in np.cumsum(model.transition, axis=1)
+    ]
+    s = min(int(np.searchsorted(np.cumsum(model.initial), u[0])), L - 1)
+    path = [s]
     for t in range(1, t_len):
-        row = np.cumsum(model.transition[states[t - 1]])
-        states[t] = np.searchsorted(row, u[t])
-    states = np.clip(states, 0, L - 1)
+        s = successor[s][t]
+        path.append(s)
 
+    shapes = [reg.nu / 2.0 for reg in model.regimes]
+    scales = [2.0 / reg.nu for reg in model.regimes]
+    w = np.empty(t_len)
+    z = np.empty((t_len, p))
+    for t, s in enumerate(path):
+        key[1] = t + 1
+        bit_gen.state = fresh
+        w[t] = rng.gamma(shapes[s], scales[s])
+        z[t] = rng.standard_normal(p)
+
+    # np.matmul over a stack of (p, 1) columns makes one matrix-vector
+    # product per row, bit for bit the `chol @ z[t]` of a per-row loop;
+    # z @ chol.T and einsum sum in another order and differ in the last bits.
+    states = np.array(path)
     y = np.empty((t_len, p))
-    for t in range(t_len):
-        rng = _stream(seed, t + 1)
-        reg = model.regimes[states[t]]
-        w = rng.gamma(shape=reg.nu / 2.0, scale=2.0 / reg.nu)
-        z = rng.standard_normal(p)
-        y[t] = reg.mu + (reg.chol @ z) / np.sqrt(w)
+    for l, reg in enumerate(model.regimes):
+        idx = np.flatnonzero(states == l)
+        y[idx] = reg.mu + np.matmul(reg.chol, z[idx][..., None])[..., 0] / np.sqrt(w[idx])[:, None]
 
-    start = datetime.date(2000, 1, 7)
-    dates = [start + datetime.timedelta(weeks=t) for t in range(t_len)]
+    dates = (np.datetime64(START) + np.arange(t_len) * np.timedelta64(7, "D")).tolist()
     names = [f"s{i+1}" for i in range(p)]
-    if p >= 2:
-        return states, ReturnPanel(dates, names, y)
-    return states, y
+    return states, ReturnPanel(dates, names, y)
 
 
 def _joint_logpdf(x, mu, sigma, nu):

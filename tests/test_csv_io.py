@@ -381,3 +381,16 @@ class TestReaderOracle:
         with pytest.raises(PanelError, match="ragged row at line 2"):
             oracle_load_csv(path)
         assert outcome(load_csv, path) == outcome(oracle_load_csv, path)
+
+    @pytest.mark.parametrize("text, line", [
+        ('# schema: msrisk/1\ndate,a,b\n2020-01-01,0.1,0.2\n2020-01-02,"{big}",0.3\n', 4),
+        ('date,a,b\n2020-01-01,"0.1\n",0.2\n2020-01-02,"{big}",0.3\n', 4),
+        ('# schema: msrisk/1\ndate,"{big}",b\n2020-01-01,0.1,0.2\n', 2),
+    ], ids=["body", "after-quoted-line-break", "header"])
+    def test_cell_over_the_csv_field_limit_is_a_panel_error(self, tmp_path, capsys, text, line):
+        path = tmp_path / "p.csv"
+        path.write_text(text.replace("{big}", "1" * 140_000), encoding="utf-8")
+        with pytest.raises(PanelError, match=f"line {line}: field larger than field limit"):
+            load_csv(path)
+        assert main(["stats", "--input", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: line {line}: ")

@@ -1,3 +1,13 @@
+"""Simulation and the brute-force oracles.
+
+oracle_sample_path is the per-step sampler that sample_path was before it
+reset one bit generator per stream: a fresh Philox generator for every
+observation, one cumsum and one searchsorted per chain step and one
+timedelta per date.  sample_path must reproduce it bit for bit.
+"""
+
+import datetime
+
 import numpy as np
 import pytest
 
@@ -11,9 +21,71 @@ from msrisk import (
     sample_path,
     t_quantile,
 )
-from msrisk.simulate import SimSpec
+from msrisk.panel import ReturnPanel
+from msrisk.simulate import MAX_T, START, SimSpec
 
 from helpers import random_model, random_mvt
+
+
+def _stream(seed, stream):
+    key = np.array([seed % (1 << 64), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def oracle_sample_path(spec):
+    model, t_len, seed = spec.model, spec.T, spec.seed
+    L, p = model.n_states, model.dim
+
+    u = _stream(seed, 0).uniform(size=t_len)
+    states = np.empty(t_len, dtype=int)
+    states[0] = np.searchsorted(np.cumsum(model.initial), u[0])
+    for t in range(1, t_len):
+        row = np.cumsum(model.transition[states[t - 1]])
+        states[t] = np.searchsorted(row, u[t])
+    states = np.clip(states, 0, L - 1)
+
+    y = np.empty((t_len, p))
+    for t in range(t_len):
+        rng = _stream(seed, t + 1)
+        reg = model.regimes[states[t]]
+        w = rng.gamma(shape=reg.nu / 2.0, scale=2.0 / reg.nu)
+        z = rng.standard_normal(p)
+        y[t] = reg.mu + (reg.chol @ z) / np.sqrt(w)
+
+    dates = [START + datetime.timedelta(weeks=t) for t in range(t_len)]
+    return states, ReturnPanel(dates, [f"s{i+1}" for i in range(p)], y)
+
+
+class TestSamplePathOracle:
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_bit_identical_to_per_step_sampler(self, L, p):
+        model = random_model(np.random.default_rng(100 * L + p), L, p, scale=0.05)
+        for t_len in (1, 2, 13, 500):
+            for seed in (0, 7, 2**64 + 3, 123456789012345678901):
+                states, got = sample_path(SimSpec(model, t_len, seed))
+                want_states, want = oracle_sample_path(SimSpec(model, t_len, seed))
+                assert states.dtype == want_states.dtype
+                np.testing.assert_array_equal(states, want_states)
+                np.testing.assert_array_equal(got.returns, want.returns)
+                assert got.dates == want.dates and got.names == want.names
+
+    def test_draw_t_depends_only_on_seed_and_t(self):
+        model = random_model(np.random.default_rng(101), 3, 3, scale=0.05)
+        short_states, short = sample_path(SimSpec(model, 50, 11))
+        long_states, long = sample_path(SimSpec(model, 80, 11))
+        np.testing.assert_array_equal(short_states, long_states[:50])
+        np.testing.assert_array_equal(short.returns, long.returns[:50])
+        assert short.dates == long.dates[:50]
+
+    def test_walk_clips_each_step(self):
+        # Rows summing to less than one, as rounding can leave them, send a
+        # uniform past the last cumulative sum; that step must stay in range.
+        rng = np.random.default_rng(102)
+        model = MsTModel([random_mvt(rng, 2), random_mvt(rng, 2)], np.eye(2), [0.5, 0.5])
+        object.__setattr__(model, "transition", np.full((2, 2), 0.25))
+        states, _ = sample_path(SimSpec(model, 200, 0))
+        assert set(states.tolist()) == {0, 1}
 
 
 class TestSamplePath:
@@ -68,6 +140,20 @@ class TestSamplePath:
         rng = np.random.default_rng(64)
         with pytest.raises(ValueError):
             SimSpec(random_model(rng, 2, 2), 0, 0)
+
+    def test_rejects_one_series_model(self):
+        model = MsTModel([MvtParams([0.0], [[1.0]], 5.0)], [[1.0]], [1.0])
+        with pytest.raises(ValueError, match="^model dimension 1: a panel needs at least two series$"):
+            SimSpec(model, 20, 0)
+
+    def test_rejects_dates_past_the_calendar(self):
+        model = random_model(np.random.default_rng(65), 2, 2)
+        assert MAX_T == 417_420
+        assert START + datetime.timedelta(weeks=MAX_T - 1) <= datetime.date.max
+        assert (datetime.date.max - START).days < 7 * MAX_T
+        SimSpec(model, MAX_T, 0)
+        with pytest.raises(ValueError, match="T = 417421"):
+            SimSpec(model, MAX_T + 1, 0)
 
 
 class TestGridConditionalQuantile:

@@ -19,9 +19,11 @@ call; the em_fit of the fit panel and its iterations; and the chain
 commands' EM, the SELECT sweep and the COMPARE pairwise fits of `msrisk
 shapley --compare-standard`, each the minimum of EM_CALLS calls, with the
 iterations of all their EM starts; the load_csv of every INPUTS panel
-(minimum over BLOCKS blocks) and one in-process `msrisk fit --L 2
+(minimum over BLOCKS blocks), one in-process `msrisk fit --L 2
 --restarts 1` pass on the fit panel (minimum of EM_CALLS calls), so that
-cli_fit - em_fit is the pass's input and output cost.  Per timer it records
+cli_fit - em_fit is the pass's input and output cost, and the sample_path
+that simulates the SAMPLE_PATH panels from their truth models (minimum
+over BLOCKS blocks).  Per timer it records
 every run and, per side, the best and the median of the runs.
 """
 
@@ -65,6 +67,8 @@ LAYERS = {
 SELECT = {"L_range": range(2, 7), "n_restarts": 3}
 COMPARE = {"n_restarts": 3}
 EM_CALLS = 3
+# INPUTS keys whose panel draw, SimSpec(truth model, --T, --seed), is timed
+SAMPLE_PATH = ("fit", "chain")
 
 
 def source_digest(checkout: Path) -> str:
@@ -158,7 +162,7 @@ def time_layers():
     import itertools
     import tempfile
 
-    from msrisk import attribution, cli, corisk, markov, panel
+    from msrisk import attribution, cli, corisk, markov, panel, simulate
 
     modules = {"corisk": corisk, "attribution": attribution}
     iterations = []
@@ -188,6 +192,10 @@ def time_layers():
             panel_path = f"{tmp}/{key}/panel.csv"
             data = panel.load_csv(panel_path)
             out[f"load_csv@{key}"] = min_block_ms(lambda: panel.load_csv(panel_path))
+            if key in SAMPLE_PATH:
+                t_len, seed = (int(argv[argv.index(flag) + 1]) for flag in ("--T", "--seed"))
+                spec = simulate.SimSpec(model, t_len, seed)
+                out[f"sample_path@{key}"] = min_block_ms(lambda: simulate.sample_path(spec))
             if key == "fit":
                 fit = markov.em_fit(data, model.n_states)
                 out[f"em_fit.iterations@{key}"] = fit.iterations
@@ -288,6 +296,7 @@ def main(argv=None) -> int:
             **{name: f"msrisk.{m}.{f}(fit, **{kw})" for name, (m, f, kw) in LAYERS.items()},
             "em_fit": "msrisk.markov.em_fit(panel, L)",
             "load_csv": "msrisk.panel.load_csv(panel.csv)",
+            "sample_path": "msrisk.simulate.sample_path(SimSpec(truth model, T, seed))",
             "cli_fit": "msrisk.cli.main(['fit', '--input', panel.csv, '--L', L, "
                        "'--restarts', '1', '--out', dir])",
             "_e_step": "msrisk.markov._e_step(params, y), params from one _m_step at the fit",
