@@ -202,27 +202,58 @@ def write_attribution_csv(path, dates, names, series: AttributionSeries) -> None
     )
 
 
+# json's spellings of the floats that float.__repr__ writes as nan and inf
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(column) -> list:
+    """A float column as json writes its numbers, one repr per value."""
+    cells = list(map(float.__repr__, np.asarray(column, dtype=float).tolist()))
+    return cells if np.all(np.isfinite(column)) else [_JSON_NON_FINITE.get(c, c) for c in cells]
+
+
+def _json_object(items, depth: int) -> str:
+    """JSON object text as json.dump(..., indent=1) writes it at nesting depth.
+
+    items are (encoded key, encoded value) pairs.
+    """
+    if not items:
+        return "{}"
+    pad = "\n" + " " * (depth + 1)
+    return "{" + ",".join(f"{pad}{k}: {v}" for k, v in items) + "\n" + " " * depth + "}"
+
+
 def write_attribution_json(path, dates, names, series: AttributionSeries) -> None:
-    """Nested per-date JSON variant of the attribution output."""
-    records = []
-    for t, d in enumerate(dates):
-        entry = {"date": d.isoformat(), "targets": {}}
-        for i in series.targets:
-            entry["targets"][names[i]] = {
-                "grand_value": float(series.grand[i][t]),
-                "shares": {
-                    names[j]: float(series.shares[(i, j)][t])
-                    for j in range(len(names))
-                    if (i, j) in series.shares
-                },
-            }
-        records.append(entry)
-    doc = {
-        "schema": "msrisk/1",
-        "measure": series.measure,
-        "tau1": series.tau1,
-        "tau2": series.tau2,
-        "records": records,
-    }
+    """Nested per-date JSON variant of the attribution output.
+
+    The bytes are those of json.dump(doc, fh, indent=1) of the nested
+    document: one record per date, holding per target its grand_value and
+    its contributors' shares.  A record is one %-template filled from the
+    per-date values, each float formatted once.
+    """
+    if len(set(names)) != len(names):
+        raise ValueError("series names must be distinct to key the attribution JSON")
+
+    def key(text):
+        """text encoded as a key of the record template, a literal % doubled."""
+        return json.dumps(text).replace("%", "%%")
+
+    columns, targets = [], []
+    for i in series.targets:
+        shares = [j for j in range(len(names)) if (i, j) in series.shares]
+        columns += [series.grand[i], *(series.shares[(i, j)] for j in shares)]
+        entry = [(key("grand_value"), "%s"),
+                 (key("shares"), _json_object([(key(names[j]), "%s") for j in shares], 5))]
+        targets.append((key(names[i]), _json_object(entry, 4)))
+    record = _json_object([(key("date"), "%s"), (key("targets"), _json_object(targets, 3))], 2)
+    rows = zip([json.dumps(d.isoformat()) for d in dates], *map(_json_floats, columns))
+    records = ",".join("\n  " + record % row for row in rows)
+    doc = _json_object([
+        (json.dumps("schema"), json.dumps("msrisk/1")),
+        (json.dumps("measure"), json.dumps(series.measure)),
+        (json.dumps("tau1"), json.dumps(series.tau1)),
+        (json.dumps("tau2"), json.dumps(series.tau2)),
+        (json.dumps("records"), "[" + records + "\n ]" if records else "[]"),
+    ], 0)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(doc)

@@ -70,6 +70,10 @@ class MsTModel:
                 raise ValueError(f"regime {l} has nu={r.nu} < {NU_MIN}")
         if q.shape != (L, L):
             raise ValueError(f"transition matrix must be {L}x{L}")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("transition matrix Q must be finite")
+        if not np.all(np.isfinite(delta)):
+            raise ValueError("initial distribution delta must be finite")
         if np.any(q < 0.0) or np.any(q > 1.0):
             raise ValueError("transition probabilities outside [0, 1]")
         if np.max(np.abs(q.sum(axis=1) - 1.0)) > 1e-12:

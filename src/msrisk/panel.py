@@ -27,7 +27,8 @@ class PanelError(ValueError):
 class ReturnPanel:
     """Dated T x p matrix of returns with series names.
 
-    Invariants: dates strictly increasing, no missing cells, p >= 2.
+    Invariants: dates strictly increasing, distinct series names, no
+    missing cells, p >= 2.
     The T >= 10 p fitting guard is enforced at estimation time, not here,
     so that small panels remain usable for I/O and simulation round trips.
     """
@@ -48,6 +49,9 @@ class ReturnPanel:
             raise PanelError("a panel needs at least two series")
         if len(names) != p:
             raise PanelError(f"{len(names)} names for {p} series")
+        if len(set(names)) != p:
+            dup = next(n for k, n in enumerate(names) if n in names[:k])
+            raise PanelError(f"duplicate series name {dup!r}")
         if len(dates) != t:
             raise PanelError(f"{len(dates)} dates for {t} rows")
         if not np.all(np.isfinite(values)):

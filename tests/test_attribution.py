@@ -236,3 +236,9 @@ class TestAttributionOutput:
         entry = doc["records"][0]["targets"][panel.names[0]]
         total = sum(entry["shares"].values())
         assert abs(total - entry["grand_value"]) < 1e-9
+
+    def test_json_refuses_duplicate_names(self, tmp_path):
+        fit, panel = small_fit(p=3, t_len=5)
+        names = (panel.names[0], panel.names[1], panel.names[0])
+        with pytest.raises(ValueError, match="distinct"):
+            write_attribution_json(tmp_path / "a.json", panel.dates, names, attribution_series(fit))

@@ -238,6 +238,19 @@ class TestRisk:
         assert "error: panel dimension 3 != model dimension" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field, index", [("Q", 0), ("delta", 1), ("mu", 0)])
+    def test_non_finite_model_is_an_error(self, sim_dir, tmp_path, capsys, field, index):
+        doc = json.loads((sim_dir / "truth_model.json").read_text())
+        (doc["regimes"][1] if field == "mu" else doc)[field][index] = math.nan
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["risk", "--input", str(sim_dir / "panel.csv"), "--model", str(bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "risk.csv").exists()
+
+
 class TestShapley:
     def test_attribution_outputs(self, sim3_dir, tmp_path):
         code = main(
@@ -255,6 +268,17 @@ class TestShapley:
             for entry in record["targets"].values():
                 total = sum(entry["shares"].values())
                 assert abs(total - entry["grand_value"]) < 1e-9
+
+    def test_duplicate_series_name_is_an_error(self, sim3_dir, tmp_path, capsys):
+        lines = (sim3_dir / "panel.csv").read_text(encoding="utf-8").split("\n")
+        names = lines[1].split(",")
+        lines[1] = ",".join([*names[:-1], names[1]])
+        dup = tmp_path / "dup.csv"
+        dup.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["shapley", "--input", str(dup), "--model", str(sim3_dir / "truth_model.json"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: duplicate series name {names[1]!r}" in capsys.readouterr().err
 
     def test_compare_standard(self, sim_dir, tmp_path):
         code = main(

@@ -1,16 +1,20 @@
-"""The columnar CSV reader and writer against the row-by-row code they replace.
+"""The columnar CSV reader and writers against the row-by-row code they replace.
 
 oracle_load_csv is the csv.reader loop with one float() per cell, and
 oracle_write_csv the csv.writer writer, that load_csv and _write_csv were
-before they became columnar.  The CLI tests rebuild every output row the
-way the commands built them for oracle_write_csv, from the same computed
-results, and require the bytes the CLI wrote.
+before they became columnar.  oracle_write_attribution_json builds the
+nested attribution document and hands it to json.dump(indent=1), as
+write_attribution_json did before it wrote the text in one pass.  The CLI
+tests rebuild every output row the way the commands built them for the
+oracles, from the same computed results, and require the bytes the CLI
+wrote.
 """
 
 import csv
 import datetime
 import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -71,6 +75,31 @@ def oracle_load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
 
 
 # ---------------------------------------------------------------- writer
+
+
+def oracle_write_attribution_json(path, dates, names, series) -> None:
+    records = []
+    for t, d in enumerate(dates):
+        entry = {"date": d.isoformat(), "targets": {}}
+        for i in series.targets:
+            entry["targets"][names[i]] = {
+                "grand_value": float(series.grand[i][t]),
+                "shares": {
+                    names[j]: float(series.shares[(i, j)][t])
+                    for j in range(len(names))
+                    if (i, j) in series.shares
+                },
+            }
+        records.append(entry)
+    doc = {
+        "schema": "msrisk/1",
+        "measure": series.measure,
+        "tau1": series.tau1,
+        "tau2": series.tau2,
+        "records": records,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
 
 
 def oracle_rows(name, got):
@@ -189,7 +218,13 @@ def run_chain(monkeypatch, tmp_path, panel_path, truth, out, select=True):
         runs[("selection.csv",)] = ["select", *args, "--L-range", "1:2", "--restarts", "1"]
     for names, argv in runs.items():
         with monkeypatch.context() as m:
-            assert_oracle_bytes(tmp_path, out, run_captured(m, argv), names)
+            got = run_captured(m, argv)
+            assert_oracle_bytes(tmp_path, out, got, names)
+        if "attribution.csv" in names:
+            data, expected = got["load_csv"], tmp_path / "oracle-attribution.json"
+            oracle_write_attribution_json(expected, data.dates, data.names,
+                                          got["attribution_series"])
+            assert (out / "attribution.json").read_bytes() == expected.read_bytes()
 
 
 class TestWriterOracle:
@@ -237,6 +272,29 @@ class TestWriterOracle:
         got = run_captured(monkeypatch, ["select", "--input", str(sim / "panel.csv"),
                                          "--out", str(out)])
         assert_oracle_bytes(tmp_path, out, got, ["selection.csv"])
+
+    @pytest.mark.parametrize("t_len, targets, special", [
+        (1, (0, 1, 2, 3), {}),
+        (4, (0, 1, 2, 3), {(1, 0): math.nan, (2, 3): math.inf, 3: -math.inf}),
+        (3, (3, 1), {1: math.nan, (3, 0): -math.inf}),
+        (0, (0, 1, 2, 3), {}),
+    ])
+    def test_attribution_json_bytes(self, tmp_path, t_len, targets, special):
+        names = ("é", "5%s 100%", 'say "hi"', "a,b")
+        rng = np.random.default_rng(t_len)
+        dates = [datetime.date(2001, 1, 5) + datetime.timedelta(weeks=t) for t in range(t_len)]
+        shares = {(i, j): rng.normal(size=t_len) * 10.0 ** rng.integers(-300, 300)
+                  for i in targets for j in range(len(names)) if j != i}
+        grand = {i: rng.normal(size=t_len) for i in targets}
+        for where, value in special.items():
+            (shares if isinstance(where, tuple) else grand)[where][-1:] = value
+        series = attribution.AttributionSeries(
+            targets=targets, tau1=0.05, tau2=0.1, measure="coes", shares=shares, grand=grand,
+        )
+        got, expected = tmp_path / "got.json", tmp_path / "expected.json"
+        attribution.write_attribution_json(got, dates, names, series)
+        oracle_write_attribution_json(expected, dates, names, series)
+        assert got.read_bytes() == expected.read_bytes()
 
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         with pytest.raises(ValueError, match="length"):

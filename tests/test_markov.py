@@ -781,3 +781,13 @@ class TestModelValidation:
         reg = MvtParams([0.0, 0.0], np.eye(2), 2.0)
         with pytest.raises(ValueError, match="nu"):
             MsTModel([reg], np.array([[1.0]]), [1.0])
+
+    @pytest.mark.parametrize("q, delta, field", [
+        ([[np.nan, 0.5], [0.5, 0.5]], [0.5, 0.5], "transition matrix Q"),
+        ([[0.5, 0.5], [0.5, 0.5]], [np.nan, 0.5], "initial distribution delta"),
+        ([[0.5, 0.5], [0.5, 0.5]], [np.inf, 0.5], "initial distribution delta"),
+    ])
+    def test_rejects_non_finite(self, q, delta, field):
+        reg = MvtParams([0.0, 0.0], np.eye(2), 5.0)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MsTModel([reg, reg], np.array(q), delta)

@@ -95,6 +95,11 @@ class TestReturnPanel:
         with pytest.raises(PanelError, match="non-finite"):
             ReturnPanel(dates, ["a", "b"], [[0.1, np.nan], [0.0, 0.1]])
 
+    def test_rejects_duplicate_names(self):
+        dates = [datetime.date(2020, 1, d) for d in (1, 2)]
+        with pytest.raises(PanelError, match="duplicate series name 's1'"):
+            ReturnPanel(dates, ["s0", "s1", "s1"], np.ones((2, 3)))
+
     def test_select_preserves_order(self):
         dates = [datetime.date(2020, 1, d) for d in (1, 2)]
         pan = ReturnPanel(dates, ["a", "b", "c"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])

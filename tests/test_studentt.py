@@ -1,10 +1,18 @@
+import contextlib
+import io
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy import integrate, linalg, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, linalg, special, stats
 from scipy.optimize import brentq
 
 from msrisk import (
     MvtParams,
+    load_csv,
     condition_mvt,
     marginal_mvt,
     mixture_es,
@@ -14,17 +22,58 @@ from msrisk import (
     t_es,
     t_quantile,
 )
+from msrisk import attribution, corisk, markov, studentt
+from msrisk.cli import main
 from msrisk.studentt import (
+    EPS,
     _bracketed_newton,
+    _mvt_log_norm,
+    _rows,
     batched_mixture_quantile,
     batched_mixture_truncated_mean,
     mixture_cdf,
     mixture_truncated_mean,
     mvt_mahalanobis,
+    t_lower_partial,
     univariate,
 )
 
 from helpers import random_mvt, random_pd
+
+MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+# `msrisk simulate` arguments of the benchmark's risk and shapley inputs at
+# seed 0 and of the north-star chain panel, and the co-risk pass each runs
+PASS_INPUTS = {
+    "risk": (["--model", str(MODELS / "risk_truth.json"), "--T", "12", "--seed", "0"],
+             corisk.total_risk_series, {"measure": "both"}),
+    "shapley": (["--model", str(MODELS / "shapley_truth.json"), "--T", "6", "--seed", "0"],
+                attribution.attribution_series, {"measure": "covar"}),
+    "chain": (["--L", "2", "--p", "4", "--T", "500", "--seed", "7"],
+              attribution.attribution_series, {"measure": "covar"}),
+}
+
+
+def oracle_mixture_quantile(weights, mu, scale, nu, tau):
+    """batched_mixture_quantile with plain Newton steps: the density is the slope."""
+    nu, tau = np.asarray(nu, dtype=float), np.asarray(tau, dtype=float)
+    shape, tau, (w, mu, s, nu, std_q, log_norm) = _rows(
+        tau, weights, mu, scale, nu, special.stdtrit(nu, tau[..., None]), _mvt_log_norm(nu, 1)
+    )
+    comp_q = mu + s * std_q
+    live = w > 0.0
+    a = np.min(np.where(live, comp_q, np.inf), axis=1)
+    b = np.max(np.where(live, comp_q, -np.inf), axis=1)
+    log_c = log_norm - np.log(s)
+
+    def cdf_and_density(x, rows):
+        wr, mr, sr, nr = w[rows], mu[rows], s[rows], nu[rows]
+        z = (x[:, None] - mr) / sr
+        dens = wr * np.exp(log_c[rows] - 0.5 * (nr + 1.0) * np.log1p(z * z / nr))
+        return np.sum(wr * special.stdtr(nr, z), axis=1) - tau[rows], np.sum(dens, axis=1)
+
+    x = np.clip(np.sum(w * comp_q, axis=1), a, b)
+    q = studentt._bracketed_newton(cdf_and_density, x, a, b, 4.0 * EPS * np.min(s, axis=1))
+    return q.reshape(shape)
 
 
 class TestMvtParams:
@@ -39,6 +88,16 @@ class TestMvtParams:
     def test_rejects_bad_nu(self):
         with pytest.raises(ValueError, match="nu"):
             MvtParams([0.0], [[1.0]], 0.0)
+
+    @pytest.mark.parametrize("mu, sigma, field", [
+        ([0.0, np.nan], np.eye(2), "mu"),
+        ([np.inf, 0.0], np.eye(2), "mu"),
+        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]], "sigma"),
+        ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]], "sigma"),
+    ])
+    def test_rejects_non_finite(self, mu, sigma, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MvtParams(mu, sigma, 5.0)
 
 
 class TestMvtLogpdf:
@@ -168,6 +227,19 @@ class TestUnivariateTail:
         with pytest.raises(ValueError):
             t_es(0.05, 1.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: t_quantile(np.nan, 5.0),
+        lambda: t_quantile(0.05, np.nan),
+        lambda: t_quantile([0.05, np.nan], 5.0),
+        lambda: t_cdf(0.0, np.nan),
+        lambda: t_cdf([0.0, 1.0], [5.0, np.nan]),
+        lambda: t_lower_partial(0.0, np.nan),
+        lambda: t_es(0.05, np.nan),
+    ])
+    def test_nan_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
 
 class TestConditionMvt:
     def test_center_conditioning(self):
@@ -294,6 +366,22 @@ class TestMixtureQuantile:
         scaled = [(2.0 * m, 2.0 * s, n) for m, s, n in comps]
         assert abs(mixture_quantile(w, scaled, 0.05) - 2.0 * base) < 1e-9
 
+    @pytest.mark.parametrize("weights, comps", [
+        ([np.nan, 1.0], [(0.0, 1.0, 5.0), (1.0, 1.0, 5.0)]),
+        ([0.5, 0.5], [(0.0, np.nan, 5.0), (1.0, 1.0, 5.0)]),
+        ([0.5, 0.5], [(0.0, 1.0, 5.0), (1.0, 1.0, np.nan)]),
+        ([0.5, 0.5], [(np.nan, 1.0, 5.0), (1.0, 1.0, 5.0)]),
+    ])
+    @pytest.mark.parametrize("call", ["quantile", "cdf", "truncated_mean"])
+    def test_nan_rejected(self, call, weights, comps):
+        with pytest.raises(ValueError):
+            if call == "quantile":
+                mixture_quantile(weights, comps, 0.05)
+            elif call == "cdf":
+                mixture_cdf(0.0, weights, comps)
+            else:
+                mixture_truncated_mean(weights, comps, 0.0)
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             mixture_quantile([0.6, 0.6], [(0.0, 1.0, 5.0), (1.0, 1.0, 5.0)], 0.5)
@@ -325,6 +413,93 @@ class TestBatchedKernels:
             batched_mixture_truncated_mean(w, mu, s, nu, q),
             batched_mixture_truncated_mean(*full, q),
         )
+
+
+def pass_values(result):
+    """Every value of a total_risk_series or attribution_series result, as one array."""
+    if isinstance(result, list):
+        fields = ("var", "es", "covar", "coes", "delta_covar", "delta_coes")
+        return np.concatenate([getattr(r, f) for r in result for f in fields])
+    return np.concatenate([*result.shares.values(), *result.grand.values()])
+
+
+@st.composite
+def mixture_rows(draw):
+    """1 to 4 rows of L-component mixtures, L from 1 to 4, and their levels.
+
+    Weights may be zero, scales and locations span six decades, and a tied
+    row repeats one component, so that its bracket is a single point.
+    """
+    L, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def table(values):
+        return np.array(draw(st.lists(
+            st.lists(values, min_size=L, max_size=L), min_size=n, max_size=n)))
+
+    w = table(st.just(0.0) | st.floats(0.01, 1.0))
+    w[w.sum(axis=1) == 0.0, 0] = 1.0
+    w /= w.sum(axis=1, keepdims=True)
+    s = 10.0 ** table(st.floats(-3.0, 3.0))
+    mu = table(st.floats(-5.0, 5.0)) * 10.0 ** table(st.floats(-3.0, 3.0))
+    nu = table(st.floats(2.1, 300.0))
+    tied = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    for a in (mu, s, nu):
+        a[tied] = a[tied, :1]
+    tau = np.array(draw(st.lists(st.floats(1e-4, 1.0 - 1e-4), min_size=n, max_size=n)))
+    return w, mu, s, nu, tau
+
+
+class TestQuantileOracle:
+    """The Halley-sloped root against the plain Newton root it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixture_rows())
+    def test_same_root_as_newton(self, case):
+        w, mu, s, nu, tau = case
+        q = batched_mixture_quantile(w, mu, s, nu, tau)
+        oracle = oracle_mixture_quantile(w, mu, s, nu, tau)
+        # g = sum_l w_l F_l - tau is a sum of probabilities each rounded to
+        # about eps, so its root is fixed only to about eps / f(q), f the
+        # mixture density there: a wide flat valley between two modes.
+        dens = np.sum(w * stats.t.pdf((oracle[:, None] - mu) / s, nu) / s, axis=1)
+        tol = 4.0 * EPS * (np.abs(q) + np.min(s, axis=1) + 1.0 / dens)
+        assert np.all(np.abs(q - oracle) <= tol)
+
+    def test_subnormal_density_warns_nothing(self):
+        # The start, the weighted mean, lies between two modes 1000 scales
+        # apart, where the density is subnormal: g / slope overflows and
+        # the step falls back to bisection.
+        w, mu, s = [0.5, 0.5], [0.0, 1000.0], [1.0, 1.0]
+        nu, tau = [258.0, 175.0], 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = batched_mixture_quantile(w, mu, s, nu, tau)
+        assert abs(q - oracle_mixture_quantile(w, mu, s, nu, tau)) <= 4.0 * EPS * (abs(q) + 1.0)
+
+    @pytest.mark.parametrize("name", sorted(PASS_INPUTS))
+    def test_no_more_sweeps_than_newton(self, name, monkeypatch, tmp_path):
+        argv, run, kwargs = PASS_INPUTS[name]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", *argv, "--out", str(tmp_path)]) == 0
+        fit = markov.fit_from_model(markov.load_model(tmp_path / "truth_model.json")[0],
+                                    load_csv(tmp_path / "panel.csv"))
+        calls = []
+
+        def counted(fun, *args):
+            def fun_counted(x, rows):
+                calls.append(rows.size)
+                return fun(x, rows)
+            return real(fun_counted, *args)
+
+        real = studentt._bracketed_newton
+        monkeypatch.setattr(studentt, "_bracketed_newton", counted)
+        got = run(fit, **kwargs)
+        sweeps = len(calls)
+        calls.clear()
+        monkeypatch.setattr(corisk, "batched_mixture_quantile", oracle_mixture_quantile)
+        expected = run(fit, **kwargs)
+        assert 0 < sweeps <= len(calls)
+        np.testing.assert_allclose(pass_values(got), pass_values(expected), rtol=0.0, atol=1e-12)
 
 
 class TestBracketedNewton:

@@ -23,8 +23,12 @@ iterations of all their EM starts; the load_csv of every INPUTS panel
 --restarts 1` pass on the fit panel (minimum of EM_CALLS calls), so that
 cli_fit - em_fit is the pass's input and output cost, and the sample_path
 that simulates the SAMPLE_PATH panels from their truth models (minimum
-over BLOCKS blocks).  Per timer it records
-every run and, per side, the best and the median of the runs.
+over BLOCKS blocks), every batched_mixture_quantile call of the ROOT_PASS
+pass on the risk, shapley and chain panels replayed (minimum over BLOCKS
+blocks, with the special.stdtr values and calls, i.e. root sweeps, of one
+replay) and the write_attribution_json of the JSON_PANELS attributions
+(minimum over BLOCKS blocks).  Per timer it records every run and, per
+side, the best and the median of the runs.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ WORKLOADS = ("fit", "risk", "shapley")
 PAIRS = 10
 SEED = 0
 # workload -> (seed, pairs) run after the PAIRS at SEED
-EXTRA = {"fit": (13, 5)}
+EXTRA = {"fit": (13, 5), "shapley": (13, 5)}
 SECONDS = 10.0
 LAYER_RUNS = 5
 BLOCKS = 15
@@ -69,6 +73,12 @@ COMPARE = {"n_restarts": 3}
 EM_CALLS = 3
 # INPUTS keys whose panel draw, SimSpec(truth model, --T, --seed), is timed
 SAMPLE_PATH = ("fit", "chain")
+# INPUTS key -> the LAYERS pass whose quantile roots are replayed (risk and
+# shapley as their perfbench workloads run them)
+ROOT_PASS = {"risk": "total_risk_series.both", "shapley": "attribution_series.covar",
+             "chain": "attribution_series.covar"}
+# INPUTS keys whose attribution_series(covar) is written as attribution.json
+JSON_PANELS = ("shapley", "chain")
 
 
 def source_digest(checkout: Path) -> str:
@@ -156,13 +166,57 @@ def min_call_ms(fn) -> float:
     return 1e3 * min(calls)
 
 
+def root_cost(corisk, studentt, run) -> dict:
+    """Cost of the quantile roots of one co-risk pass, replayed.
+
+    Every batched_mixture_quantile call run() makes through corisk is
+    recorded and then replayed: the minimum over BLOCKS blocks of all the
+    calls in ms, and the special.stdtr values and calls (one per root
+    sweep) of one replay.
+    """
+    calls, real = [], corisk.batched_mixture_quantile
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    def replay():
+        for args, kwargs in calls:
+            real(*args, **kwargs)
+
+    corisk.batched_mixture_quantile = recorded
+    try:
+        run()
+    finally:
+        corisk.batched_mixture_quantile = real
+    special, counts = studentt.special, {"stdtr": 0, "sweeps": 0}
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(special, name)
+
+        @staticmethod
+        def stdtr(nu, z):
+            counts["stdtr"] += z.size
+            counts["sweeps"] += 1
+            return special.stdtr(nu, z)
+
+    studentt.special = Counting()
+    try:
+        replay()
+    finally:
+        studentt.special = special
+    return {"quantile_root": min_block_ms(replay),
+            **{f"quantile_root.{k}": v for k, v in counts.items()}}
+
+
 def time_layers():
     """Timers (ms) and EM iteration counts of one interpreter, keyed name@input."""
     import contextlib
     import itertools
     import tempfile
 
-    from msrisk import attribution, cli, corisk, markov, panel, simulate
+    from msrisk import attribution, cli, corisk, markov, panel, simulate, studentt
 
     modules = {"corisk": corisk, "attribution": attribution}
     iterations = []
@@ -218,6 +272,17 @@ def time_layers():
             for name, (module, function, kwargs) in LAYERS.items():
                 fn = getattr(modules[module], function)
                 out[f"{name}@{key}"] = min_block_ms(lambda: fn(fit, **kwargs))
+            if key in ROOT_PASS:
+                module, function, kwargs = LAYERS[ROOT_PASS[key]]
+                fn = getattr(modules[module], function)
+                for name, value in root_cost(corisk, studentt, lambda: fn(fit, **kwargs)).items():
+                    out[f"{name}@{key}"] = value
+            if key in JSON_PANELS:
+                series = attribution.attribution_series(fit, measure="covar")
+                path = f"{tmp}/{key}/attribution.json"
+                out[f"write_attribution_json@{key}"] = min_block_ms(
+                    lambda: attribution.write_attribution_json(path, data.dates, data.names, series)
+                )
             if key == "chain":
                 def compare():
                     for i, j in itertools.combinations(range(data.n_series), 2):
@@ -290,6 +355,7 @@ def main(argv=None) -> int:
         "what": f"{BLOCKS}-block minimum of one call (em_fit, cli_fit, select_L, compare: "
                 f"minimum of {EM_CALLS} calls) per fresh interpreter, {LAYER_RUNS} interpreters "
                 "per side in alternating order; *.iterations are EM iteration counts; "
+                "quantile_root.stdtr and .sweeps are counts; "
                 "name@input",
         "inputs": {key: ["msrisk", "simulate", *argv] for key, argv in INPUTS.items()},
         "layers": {
@@ -297,6 +363,12 @@ def main(argv=None) -> int:
             "em_fit": "msrisk.markov.em_fit(panel, L)",
             "load_csv": "msrisk.panel.load_csv(panel.csv)",
             "sample_path": "msrisk.simulate.sample_path(SimSpec(truth model, T, seed))",
+            "quantile_root": "every msrisk.studentt.batched_mixture_quantile call of the "
+                             f"pass {ROOT_PASS} (risk, shapley, chain), replayed; "
+                             "quantile_root.stdtr and .sweeps: special.stdtr values and calls "
+                             "of one replay",
+            "write_attribution_json": "msrisk.attribution.write_attribution_json(path, dates, "
+                                      "names, attribution_series(fit, measure='covar'))",
             "cli_fit": "msrisk.cli.main(['fit', '--input', panel.csv, '--L', L, "
                        "'--restarts', '1', '--out', dir])",
             "_e_step": "msrisk.markov._e_step(params, y), params from one _m_step at the fit",
