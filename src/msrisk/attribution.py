@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corisk import MEASURES, CoRiskEngine, coalition_masks
+from .corisk import CoRiskEngine, coalition_masks
 from .markov import FitResult
 from .panel import _write_blocks
 from .predictive import PredictiveMixture, build_predictive
@@ -122,8 +122,6 @@ def characteristic_values(mix: PredictiveMixture, target: int, measure: str = "c
     one batch on the same marginal conditioning levels.  Any failure aborts
     the whole map; partial maps are invalid.
     """
-    if measure not in MEASURES:
-        raise ValueError("measure must be 'covar' or 'coes'")
     engine = CoRiskEngine.from_mixture(mix)
     delta = _delta_values(engine, (target,), measure, tau1, tau2)[0, 0]
     players = tuple(j for j in range(mix.dim) if j != target)
@@ -163,8 +161,6 @@ def attribution_series(fit: FitResult, measure: str = "covar", tau1: float = 0.0
     grand-coalition Delta per target.  Every coalition of every target and
     date is one co-risk engine call.
     """
-    if measure not in MEASURES:
-        raise ValueError("measure must be 'covar' or 'coes'")
     engine = CoRiskEngine.from_fit(fit, h, probs)
     p = engine.dim
     targets = tuple(range(p)) if targets is None else tuple(targets)

@@ -470,8 +470,6 @@ def standard_pairwise_delta(fit_bivariate: FitResult, target: int, measure: str 
         raise ValueError("standard pairwise Delta needs a bivariate model")
     if target not in (0, 1):
         raise ValueError("target must be 0 or 1")
-    if measure not in MEASURES:
-        raise ValueError("measure must be 'covar' or 'coes'")
     engine = CoRiskEngine.from_fit(fit_bivariate, h, probs)
     values = engine.coalition_values((target,), (measure,), tau1, tau2, [[True], [False]])
     return values[:, 0, 0, 0] - values[:, 0, 0, 1]

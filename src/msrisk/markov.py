@@ -403,9 +403,11 @@ def _m_step(y, params, smoothed, counts, maha):
     """One AECM M-step of two conditional maximisations (CM), neither lowering the likelihood.
 
     CM 1, with states and gamma scales missing: u-weighted moments for (mu,
-    sigma), one conditioning check, expected counts for (Q, delta).  CM 2,
-    with u integrated out: _nu_step at the new (mu, sigma), whose forms (one
-    batched Cholesky, LinAlgError if a sigma is not PD) go on to the E-step.
+    sigma), expected counts for (Q, delta).  CM 2, with u integrated out:
+    _nu_step at the new (mu, sigma), whose forms (one batched Cholesky,
+    LinAlgError if a sigma is not PD) go on to the E-step.  A regime whose
+    mass falls below p + 2 observations, or whose sigma has a condition
+    number above 1e12, raises RegimeCollapseError.
     """
     p, L = y.shape[1], len(params.nu)
     mu, sigma, n = np.empty((L, p)), np.empty((L, p, p)), np.empty(L)
@@ -425,8 +427,16 @@ def _m_step(y, params, smoothed, counts, maha):
     # Condition number above 1e12, as the eigenvalue ratio of a symmetric
     # matrix; a rounding-negative smallest eigenvalue counts as singular.
     eig = np.linalg.eigvalsh(sigma)
-    for l in np.flatnonzero(eig[:, -1] > 1e12 * eig[:, 0]):
-        sigma[l] += (1e-8 * np.trace(sigma[l]) / p) * np.eye(p)
+    collapsed = np.flatnonzero(eig[:, -1] > 1e12 * eig[:, 0])
+    if collapsed.size:
+        l = collapsed[0]
+        values, vectors = np.linalg.eigh(sigma[l])
+        column = int(np.argmax(np.abs(vectors[:, 0])))
+        raise RegimeCollapseError(
+            f"regime {l} collapsed onto a subspace: its scale matrix has eigenvalues "
+            f"{values[0]:.3g} to {values[-1]:.3g} (condition number above 1e12), and the "
+            f"smallest-eigenvalue direction loads most on column {column}"
+        )
     chol = np.linalg.cholesky(sigma)
     new_maha = _stacked_mahalanobis(y, mu, chol)
     nu = _nu_step(new_maha, (smoothed / n).T[:, :, None], params.nu, p)
@@ -474,8 +484,11 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
     complete-data log-likelihood in (mu, sigma, Q, delta), states and u
     missing, so by the EM inequality it also raises Q_S, its version with u
     integrated out; CM 2 maximises Q_S in each nu on [2.1, 200] (ECME, Liu &
-    Rubin 1995), so the log-likelihood cannot fall.  A fall beyond 1e-8
-    relative slack raises LikelihoodDecreaseError; iteration stops when the
+    Rubin 1995), so the log-likelihood cannot fall.  Every M-step is taken
+    as computed: a regime that loses its mass or whose sigma degenerates
+    (condition number above 1e12) raises RegimeCollapseError rather than
+    being adjusted.  A fall beyond 1e-8 relative slack, which only rounding
+    can cause, raises LikelihoodDecreaseError; iteration stops when the
     relative change drops below tol.
     """
     y = _fit_observations(panel, L, tol)
@@ -564,7 +577,8 @@ def select_L(panel, L_range, criterion="aic", *, n_restarts=3, seed=0, tol=1e-8,
         rows.append(SelectionRow(L, fit.loglik, k, aic, bic))
     usable = [r for r in rows if not r.error]
     if not usable:
-        raise RuntimeError("every candidate L failed to fit")
+        errors = "; ".join(f"L={r.L}: {r.error}" for r in rows)
+        raise RuntimeError(f"every candidate L failed to fit ({errors})")
     chosen = min(usable, key=lambda r: getattr(r, criterion)).L
     return SelectionTable(rows=rows, chosen=chosen, criterion=criterion)
 

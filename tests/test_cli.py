@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,3 +408,18 @@ class TestConfig:
                  "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path)]
             )
         assert "--bogus-key=3" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # A fresh interpreter, since the test suite imports scipy.linalg itself:
+    # numpy.linalg is the package's one linear-algebra backend.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, msrisk.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"

@@ -24,7 +24,13 @@ from msrisk import (
     total_risk_series,
 )
 from msrisk import corisk
-from msrisk.attribution import _shapley_shares, attribution_series, vis_a_vis
+from msrisk.attribution import (
+    _shapley_shares,
+    attribution_series,
+    characteristic_values,
+    characteristic_values_at,
+    vis_a_vis,
+)
 from msrisk.corisk import (
     MEASURES,
     CoRiskEngine,
@@ -33,6 +39,7 @@ from msrisk.corisk import (
     conditional_mixture,
     write_risk_csv,
 )
+from msrisk.predictive import build_predictive
 from msrisk.simulate import SimSpec
 from msrisk.studentt import (
     _mvt_log_norm,
@@ -726,3 +733,34 @@ class TestCoalitionBoundary:
     def test_unknown_measure(self):
         with pytest.raises(ValueError, match="measure must be"):
             self.engine().coalition_values([0], ["covar", "cvar"], 0.05, 0.05, [[True] * 3])
+
+
+# Every public entry point that takes a measure family, called with "var";
+# the fit is (3 series, 2 regimes), the bivariate fit its first two series.
+MEASURE_ENTRY_POINTS = {
+    "coalition_values": lambda fit, fit2: CoRiskEngine.from_fit(fit).coalition_values(
+        [0], ["var"], 0.05, 0.05, [[True, True]]),
+    "total_risk_series": lambda fit, fit2: total_risk_series(fit, measure="var"),
+    "standard_pairwise_delta": lambda fit, fit2: standard_pairwise_delta(fit2, 0, "var"),
+    "characteristic_values": lambda fit, fit2: characteristic_values(
+        build_predictive(fit, 3), 0, "var"),
+    "characteristic_values_at": lambda fit, fit2: characteristic_values_at(fit, 3, 0, "var"),
+    "attribution_series": lambda fit, fit2: attribution_series(fit, measure="var"),
+    "vis_a_vis": lambda fit, fit2: vis_a_vis(fit, (0, 1), measure="var"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MEASURE_ENTRY_POINTS))
+def test_measure_checked_before_any_solve(entry, monkeypatch):
+    fit, _ = engine_fit(3500, 2, 3)
+    fit2 = marginalize_fit(fit, [0, 1])
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level solve ran before the measure was checked")
+
+    monkeypatch.setattr(CoRiskEngine, "solve_levels", no_solve)
+    message = ("measure must be 'covar', 'coes' or 'both'" if entry == "total_risk_series"
+               else "measure must be 'covar' or 'coes'")
+    with pytest.raises(ValueError) as info:
+        MEASURE_ENTRY_POINTS[entry](fit, fit2)
+    assert str(info.value) == message

@@ -30,6 +30,7 @@ from msrisk.markov import (
     NU_MAX,
     NU_MIN,
     LikelihoodDecreaseError,
+    RegimeCollapseError,
     _e_step,
     _nu_step,
     _scan_rows,
@@ -360,6 +361,22 @@ class TestEmFit:
             with pytest.raises(ValueError, match="column 1 is constant"):
                 fit(y, 2)
 
+    def test_near_constant_series_is_a_collapse(self):
+        # Constant but for its first row: Sigma's smallest eigenvalue falls
+        # towards 0 along column 1 while the log-likelihood rises, until the
+        # M-step passes condition number 1e12 and names the collapse.
+        y = np.random.default_rng(0).normal(size=(120, 2))
+        y[1:, 1] = 0.5
+        with pytest.raises(RegimeCollapseError, match=r"^regime 0 .* column 1$"):
+            em_fit(y, 1)
+        with pytest.raises(RuntimeError, match=r"^all 1 restarts failed: regime 0 .* column 1$"):
+            fit_restarts(y, 1)
+        with pytest.raises(RuntimeError) as info:
+            select_L(y, [1, 2], n_restarts=1)
+        message = str(info.value)
+        assert message.startswith("every candidate L failed to fit (L=1: all 1 restarts failed")
+        assert "; L=2: all 1 restarts failed: regime" in message
+
 
 class TestMetamorphicFit:
     """Fits of transformed panels from the deterministic PCA start, to 1e-8 relative."""
@@ -517,6 +534,10 @@ class TestAecmMonotone:
 
 
 class TestMStepRidge:
+    """The M-step's conditioning check.  The M-step adds no ridge: a sigma
+    within condition number 1e12 is the weighted moment as computed, and
+    one past it raises RegimeCollapseError."""
+
     @staticmethod
     def weighted_sigma(y, reg):
         p = y.shape[1]
@@ -525,23 +546,49 @@ class TestMStepRidge:
         sigma = (u[:, None] * dev).T @ dev / len(y)
         return 0.5 * (sigma + sigma.T)
 
-    @pytest.mark.parametrize("noise", [1e-9, 1.0])
-    def test_near_collinear_sigma_gets_ridge(self, noise):
-        rng = np.random.default_rng(141)
-        x = rng.standard_t(5.0, size=300)
-        y = np.column_stack([x, x + noise * rng.normal(size=300)])
-        reg = MvtParams([0.0, 0.0], np.eye(2), 8.0)
+    @staticmethod
+    def m_step(y, reg):
         model = MsTModel([reg], np.array([[1.0]]), [1.0])
         maha = mvt_mahalanobis(y, reg)[:, None]
-        new = markov._m_step(
-            y, markov._stack(model), np.ones((300, 1)), np.array([[299.0]]), maha
+        return markov._m_step(
+            y, markov._stack(model), np.ones((len(y), 1)), np.array([[len(y) - 1.0]]), maha
         )
+
+    @staticmethod
+    def collinear_panel(noise):
+        rng = np.random.default_rng(141)
+        x = rng.standard_t(5.0, size=300)
+        return np.column_stack([x, x + noise * rng.normal(size=300)])
+
+    @pytest.mark.parametrize("noise", [1.0])
+    def test_near_collinear_sigma_gets_ridge(self, noise):
+        y = self.collinear_panel(noise)
+        reg = MvtParams([0.0, 0.0], np.eye(2), 8.0)
+        new = self.m_step(y, reg)
         sigma = self.weighted_sigma(y, reg)
-        collinear = np.linalg.cond(sigma) > 1e12
-        assert collinear == (noise < 1e-3)
-        if collinear:
-            sigma = sigma + 1e-8 * np.trace(sigma) / 2 * np.eye(2)
+        assert np.linalg.cond(sigma) <= 1e12
         np.testing.assert_allclose(new.sigma[0], sigma, rtol=1e-12, atol=0.0)
+
+    def test_near_collinear_sigma_is_a_collapse(self):
+        # The weighted sigma of x and x + 1e-9 noise has a condition number
+        # above 1e12; the M-step names the regime and the column that the
+        # collapsing direction loads on instead of adding a ridge.
+        y = self.collinear_panel(1e-9)
+        reg = MvtParams([0.0, 0.0], np.eye(2), 8.0)
+        assert np.linalg.cond(self.weighted_sigma(y, reg)) > 1e12
+        with pytest.raises(RegimeCollapseError, match=r"^regime 0 collapsed .* column [01]$"):
+            self.m_step(y, reg)
+
+    def test_collapse_names_the_regime_and_flat_column(self):
+        # Regime 1 holds rows 20-39, where the third series is constant.
+        y = np.random.default_rng(142).normal(size=(40, 3))
+        y[20:, 2] = 0.25
+        reg = MvtParams(np.zeros(3), np.eye(3), 8.0)
+        model = MsTModel([reg, reg], np.full((2, 2), 0.5), [0.5, 0.5])
+        smoothed = np.repeat(np.eye(2), 20, axis=0)
+        maha = np.repeat(mvt_mahalanobis(y, reg)[:, None], 2, axis=1)
+        with pytest.raises(RegimeCollapseError, match=r"^regime 1 .* column 2$"):
+            markov._m_step(y, markov._stack(model), smoothed, np.full((2, 2), 9.75), maha)
 
 
 class TestRawArrayValidation:

@@ -151,7 +151,7 @@ class TestMvtLogpdf:
 
 
 class TestMvtMahalanobis:
-    """The whitened quadratic form against a triangular-solve oracle."""
+    """The whitened quadratic form against triangular-solve oracles."""
 
     @staticmethod
     def spd(rng, k, cond):
@@ -174,6 +174,27 @@ class TestMvtMahalanobis:
             sol = linalg.solve_triangular(p.chol, (x - p.mu).T, lower=True)
             expected = np.sum(sol * sol, axis=0)
             np.testing.assert_allclose(mvt_mahalanobis(x, p), expected, rtol=1e-11, atol=0)
+
+    @staticmethod
+    def long_double_forms(chol, dev):
+        """|z|^2 for chol z = dev by forward substitution in long double."""
+        chol, dev = chol.astype(np.longdouble), dev.astype(np.longdouble)
+        z = np.empty_like(dev)
+        for i in range(len(chol)):
+            z[:, i] = (dev[:, i] - z[:, :i] @ chol[i, :i]) / chol[i, i]
+        return np.sum(z * z, axis=1)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("cond", [1e1, 1e3, 1e5, 1e7, 1e9, 1e11])
+    def test_matches_long_double_substitution(self, k, cond):
+        rng = np.random.default_rng(k * 100 + int(np.log10(cond)))
+        for _ in range(20):
+            sigma = self.spd(rng, k, cond)
+            p = MvtParams(rng.normal(size=k), sigma, 5.0)
+            scale = np.sqrt(np.diag(sigma)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(300, 1))
+            x = p.mu + rng.normal(size=(300, k)) * scale
+            expected = self.long_double_forms(p.chol, x - p.mu)
+            np.testing.assert_allclose(mvt_mahalanobis(x, p), expected, rtol=1e-12, atol=0)
 
 
 class TestUnivariateTail:

@@ -27,8 +27,10 @@ over BLOCKS blocks), every batched_mixture_quantile call of the ROOT_PASS
 pass on the risk, shapley and chain panels replayed (minimum over BLOCKS
 blocks, with the special.stdtr values and calls, i.e. root sweeps, of one
 replay) and the write_attribution_json of the JSON_PANELS attributions
-(minimum over BLOCKS blocks).  Per timer it records every run and, per
-side, the best and the median of the runs.
+(minimum over BLOCKS blocks).  Each interpreter also records the seconds
+its first msrisk import took and its peak resident set (ru_maxrss) right
+after that import.  Per timer it records every run and, per side, the best
+and the median of the runs.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -216,7 +219,10 @@ def time_layers():
     import itertools
     import tempfile
 
+    start = time.perf_counter()
     from msrisk import attribution, cli, corisk, markov, panel, simulate, studentt
+    import_s = time.perf_counter() - start
+    import_maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     modules = {"corisk": corisk, "attribution": attribution}
     iterations = []
@@ -237,7 +243,7 @@ def time_layers():
             markov.em_fit = real_em_fit
         return min_call_ms(fn), sum(iterations)
 
-    out = {}
+    out = {"import_s": import_s, "import_maxrss_mb": import_maxrss_mb}
     with tempfile.TemporaryDirectory() as tmp:
         for key, argv in INPUTS.items():
             with contextlib.redirect_stdout(sys.stderr):
@@ -356,7 +362,8 @@ def main(argv=None) -> int:
                 f"minimum of {EM_CALLS} calls) per fresh interpreter, {LAYER_RUNS} interpreters "
                 "per side in alternating order; *.iterations are EM iteration counts; "
                 "quantile_root.stdtr and .sweeps are counts; "
-                "name@input",
+                "import_s (seconds) and import_maxrss_mb (MB) are the interpreter's first "
+                "msrisk import and its ru_maxrss right after it; name@input",
         "inputs": {key: ["msrisk", "simulate", *argv] for key, argv in INPUTS.items()},
         "layers": {
             **{name: f"msrisk.{m}.{f}(fit, **{kw})" for name, (m, f, kw) in LAYERS.items()},
