@@ -124,7 +124,7 @@ def characteristic_values(mix: PredictiveMixture, target: int, measure: str = "c
     """
     engine = CoRiskEngine.from_mixture(mix)
     delta = _delta_values(engine, (target,), measure, tau1, tau2)[0, 0]
-    players = tuple(j for j in range(mix.dim) if j != target)
+    players = tuple(engine.others[target].tolist())
     values = {
         frozenset(j for j, m in zip(players, row) if m): float(v)
         for row, v in zip(coalition_masks(len(players)), delta)
@@ -159,17 +159,20 @@ def attribution_series(fit: FitResult, measure: str = "covar", tau1: float = 0.0
 
     Emits one share series per (target, contributor) pair plus the
     grand-coalition Delta per target.  Every coalition of every target and
-    date is one co-risk engine call.
+    date is one co-risk engine call.  A target may appear only once.
     """
     engine = CoRiskEngine.from_fit(fit, h, probs)
     p = engine.dim
     targets = tuple(range(p)) if targets is None else tuple(targets)
+    for n, i in enumerate(targets):
+        if i in targets[:n]:
+            raise ValueError(f"target {i} is repeated in targets")
     delta = _delta_values(engine, targets, measure, tau1, tau2)
     by_player = _shapley_shares(delta, p - 1)
     shares, grand = {}, {}
     for n, i in enumerate(targets):
         grand[i] = delta[:, n, -1]
-        for k, j in enumerate(j for j in range(p) if j != i):
+        for k, j in enumerate(engine.others[i].tolist()):
             shares[(i, j)] = by_player[:, n, k]
     return AttributionSeries(
         targets=targets, tau1=tau1, tau2=tau2, measure=measure,

@@ -11,16 +11,20 @@ component the exact conditional Student-t is used and the component
 weights are reweighted by each component's marginal density at the
 conditioning vector, handled in log space.
 
-Every measure is evaluated by CoRiskEngine.coalition_values, which takes
-a whole request (dates x measure families x targets x distress coalitions)
-as one grid: one stacked factorisation of every target's conditioning
-block, one batched quantile root and one batched tail mean.  The series
-functions make one such call per run, and the single-mixture functions,
-conditional_mixture included, are its T=1 case.
+Every co-risk measure is evaluated by CoRiskEngine.coalition_values, which
+takes a whole request (dates x measure families x targets x distress
+coalitions) as one grid: one batched quantile root and one batched tail
+mean.  The engine builds its conditioning layout at construction: each
+target's players (engine.others, the other series in ascending order),
+whose order only the engine owns, and one stacked factorisation of their
+conditioning blocks.  The series functions make one such call per run, the
+single-mixture co-risk functions, conditional_mixture included, are its T=1
+case, and marginal VaR/ES solve one univariate mixture.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,8 @@ from .studentt import (
     batched_mixture_quantile,
     batched_mixture_truncated_mean,
     marginal_mvt,
+    mixture_es,
+    mixture_quantile,
 )
 
 MEASURES = ("covar", "coes")
@@ -57,7 +63,8 @@ class RiskQuery:
     tau2: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "distress", tuple(sorted(self.distress)))
+        object.__setattr__(self, "target", operator.index(self.target))
+        object.__setattr__(self, "distress", tuple(sorted(map(operator.index, self.distress))))
         if self.target in self.distress:
             raise ValueError("target cannot be in its own distress set")
         if len(set(self.distress)) != len(self.distress):
@@ -88,11 +95,6 @@ def _check_index(mix: PredictiveMixture, i: int) -> None:
         raise IndexError(f"series index {i} outside dimension {mix.dim}")
 
 
-def _check_tau(tau) -> None:
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie strictly in (0, 1)")
-
-
 def coalition_masks(n: int) -> np.ndarray:
     """Every subset of n players as a (2^n, n) boolean array.
 
@@ -100,23 +102,6 @@ def coalition_masks(n: int) -> np.ndarray:
     the empty coalition and the last row the grand coalition.
     """
     return (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
-
-
-@dataclass(frozen=True)
-class _Blocks:
-    """Per-regime quantities for conditioning each target on all other series.
-
-    Row i of every array belongs to target i; the singleton axis after it
-    broadcasts over coalitions.
-    """
-
-    others: np.ndarray     # p x d   conditioning series of each target, ascending
-    mu_cond: np.ndarray    # p x 1 x L x d  their locations
-    mu_target: np.ndarray  # p x 1 x L      target location
-    chol: np.ndarray       # p x 1 x L x d x d  lower Cholesky factor of S22
-    reg: np.ndarray        # p x 1 x L x d  regression row S12 S22^{-1}
-    schur: np.ndarray      # p x 1 x L      S11 - S12 S22^{-1} S21
-    log_const: np.ndarray  # p x 1 x L      log-density constant of the d-variate marginal
 
 
 class CoRiskEngine:
@@ -127,24 +112,47 @@ class CoRiskEngine:
     (kind, tau) for every date and series as one batched root and cached,
     so the distress and the baseline rows of a Delta read the same level
     array.  Conditioning is always on every series but the target, so the
+    construction builds the whole layout once: others, whose row i holds
+    the players of target i (its other series, ascending), and the
     regression rows, Schur complements and Cholesky factors of every
-    target's conditioning block are computed once, as one stack over
-    targets, and a conditioning vector costs one Mahalanobis term per
-    component.  coalition_values evaluates every (date, family, target,
-    coalition) of a request as one grid, with one quantile root and one
-    truncated mean per block of dates.
+    target's conditioning block, as one stack over targets.  Callers read
+    the player order from others and never derive it.  coalition_values
+    evaluates every (date, family, target, coalition) of a request as one
+    grid, with one quantile root and one truncated mean per block of dates.
     """
 
     def __init__(self, weights, components):
         self.weights = np.atleast_2d(np.asarray(weights, dtype=float))
         if self.weights.ndim != 2 or self.weights.shape[1] != len(components):
             raise ValueError("weights must be T x L with one column per component")
+        # NaN and infinite weights fail one of the two comparisons
+        ok = np.all(self.weights >= 0.0, axis=1) & (abs(self.weights.sum(axis=1) - 1.0) <= 1e-10)
+        if not ok.all():
+            t = int(np.argmin(ok))
+            raise ValueError(f"weights at date {t} must be finite, nonnegative and sum to 1 "
+                             f"within 1e-10, got {self.weights[t].tolist()}")
         self.mu, self.sigma, _, self.nu = _stack_mvt(components)
         self.sd = np.sqrt(np.diagonal(self.sigma, axis1=1, axis2=2))
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(self.weights)
         self._levels = {}
-        self._blocks = None
+        p = self.dim
+        d = p - 1
+        # p x d  row i: the players of target i, its other series in ascending order
+        self.others = np.arange(d) + (np.arange(d) >= np.arange(p)[:, None])
+        s22 = self.sigma[:, self.others[:, :, None], self.others[:, None, :]].swapaxes(0, 1)
+        s21 = self.sigma[:, self.others, np.arange(p)[:, None]].swapaxes(0, 1)
+        chol = np.linalg.cholesky(s22)
+        reg = np.linalg.solve(s22, s21[..., None])[..., 0]
+        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+        schur = np.diagonal(self.sigma, axis1=1, axis2=2).T - np.sum(reg * s21, axis=-1)
+        # Row i belongs to target i; the singleton axis after it broadcasts over coalitions.
+        self._mu_cond = self.mu[:, self.others].swapaxes(0, 1)[:, None]  # p x 1 x L x d
+        self._mu_target = self.mu.T[:, None]  # p x 1 x L
+        self._chol = chol[:, None]  # p x 1 x L x d x d  lower Cholesky factor of S22
+        self._reg = reg[:, None]  # p x 1 x L x d  regression row S12 S22^{-1}
+        self._schur = schur[:, None]  # p x 1 x L  S11 - S12 S22^{-1} S21
+        self._log_const = _mvt_log_norm(self.nu, d, logdet)[:, None]  # p x 1 x L
 
     @classmethod
     def from_fit(cls, fit: FitResult, h: int = 1, probs: str = "filtered"):
@@ -167,7 +175,8 @@ class CoRiskEngine:
         one batched truncated mean.
         """
         for tau in taus:
-            _check_tau(tau)
+            if not 0.0 < tau < 1.0:
+                raise ValueError("tau must lie strictly in (0, 1)")
         taus = sorted({float(t) for t in taus})
         # (date, series, tau) rows of the T marginal mixtures
         rows = (self.weights[:, None, None, :], self.mu.T[None, :, None, :],
@@ -193,29 +202,6 @@ class CoRiskEngine:
             self.solve_levels([tau], es=kind == "es")
         return self._levels[key]
 
-    def _target_blocks(self) -> _Blocks:
-        """Every target's conditioning block, from one batched factorisation."""
-        if self._blocks is None:
-            p = self.dim
-            others = np.array([[j for j in range(p) if j != i] for i in range(p)], dtype=int)
-            d = p - 1
-            s22 = self.sigma[:, others[:, :, None], others[:, None, :]].swapaxes(0, 1)
-            s21 = self.sigma[:, others, np.arange(p)[:, None]].swapaxes(0, 1)
-            chol = np.linalg.cholesky(s22)
-            reg = np.linalg.solve(s22, s21[..., None])[..., 0]
-            logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-            schur = np.diagonal(self.sigma, axis1=1, axis2=2).T - np.sum(reg * s21, axis=-1)
-            self._blocks = _Blocks(
-                others=others,
-                mu_cond=self.mu[:, others].swapaxes(0, 1)[:, None],
-                mu_target=self.mu.T[:, None],
-                chol=chol[:, None],
-                reg=reg[:, None],
-                schur=schur[:, None],
-                log_const=_mvt_log_norm(self.nu, d, logdet)[:, None],
-            )
-        return self._blocks
-
     def _conditional(self, targets, x, dates=slice(None)):
         """Targets' conditional mixtures at conditioning vectors x (n, F, P, C, d).
 
@@ -227,8 +213,7 @@ class CoRiskEngine:
         component weights, conditional locations and scales, each
         (n, F, P, C, L); the conditional degrees of freedom are nu + d.
         """
-        blk = self._target_blocks()
-        mu_cond, chol, reg = blk.mu_cond[targets], blk.chol[targets], blk.reg[targets]
+        mu_cond, chol, reg = self._mu_cond[targets], self._chol[targets], self._reg[targets]
         d = self.dim - 1
         dev = [x[..., k, None] - mu_cond[..., k] for k in range(d)]
         z = []
@@ -238,11 +223,11 @@ class CoRiskEngine:
                 acc = acc - chol[..., r, k] * z[k]
             z.append(acc / chol[..., r, r])
         maha = sum(zk * zk for zk in z)
-        loc = blk.mu_target[targets] + sum(reg[..., k] * dev[k] for k in range(d))
-        scale = np.sqrt((self.nu + maha) / (self.nu + d) * blk.schur[targets])
+        loc = self._mu_target[targets] + sum(reg[..., k] * dev[k] for k in range(d))
+        scale = np.sqrt((self.nu + maha) / (self.nu + d) * self._schur[targets])
         log_w = (
             self.log_weights[dates, None, None, None, :]
-            + blk.log_const[targets] - 0.5 * (self.nu + d) * np.log1p(maha / self.nu)
+            + self._log_const[targets] - 0.5 * (self.nu + d) * np.log1p(maha / self.nu)
         )
         w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
         w /= w.sum(axis=-1, keepdims=True)
@@ -263,7 +248,8 @@ class CoRiskEngine:
         and P = len(targets), in the order given.
         """
         measures = tuple(measures)
-        targets = np.array([int(i) for i in targets], dtype=int)
+        # operator.index rejects a fractional index rather than truncating it
+        targets = np.array([operator.index(i) for i in targets], dtype=int)
         for m in measures:
             if m not in MEASURES:
                 raise ValueError("measure must be 'covar' or 'coes'")
@@ -282,7 +268,7 @@ class CoRiskEngine:
             )
         self.solve_levels((tau1, tau2, 0.5), es="coes" in measures)
         kinds = ["var" if m == "covar" else "es" for m in measures]
-        others = self._target_blocks().others[targets]
+        others = self.others[targets]
         distress = np.stack([self.level(k, tau2)[:, others] for k in kinds], axis=1)
         normal = np.stack([self.level(k, 0.5)[:, others] for k in kinds], axis=1)
         cutoff = self.level("var", tau1)[:, None, targets, None]
@@ -316,27 +302,30 @@ def _query_values(mix: PredictiveMixture, q: RiskQuery, measure: str, baseline: 
     """Measure at the query's distress set and, with baseline, at the empty set."""
     for j in (q.target, *q.distress):
         _check_index(mix, j)
-    mask = [[j in q.distress for j in range(mix.dim) if j != q.target]]
-    if baseline:
-        if not q.distress:
-            raise ValueError("Delta measures need a nonempty distress set")
-        mask.append([False] * len(mask[0]))
+    if baseline and not q.distress:
+        raise ValueError("Delta measures need a nonempty distress set")
     engine = CoRiskEngine.from_mixture(mix)
+    mask = np.isin(engine.others[q.target], q.distress)
+    masks = [mask, np.zeros_like(mask)] if baseline else [mask]
     return engine.coalition_values(
-        (q.target,), (measure,), q.tau1, q.tau2, mask, threshold=threshold
+        (q.target,), (measure,), q.tau1, q.tau2, masks, threshold=threshold
     )[0, 0, 0]
+
+
+def _marginal(mix: PredictiveMixture, i: int) -> list:
+    """(location, scale, nu) of every component's i-th marginal."""
+    _check_index(mix, i)
+    return [(c.mu[i], np.sqrt(c.sigma[i, i]), c.nu) for c in mix.components]
 
 
 def marginal_var(mix: PredictiveMixture, i: int, tau: float) -> float:
     """tau-quantile of the i-th marginal of the predictive mixture."""
-    _check_index(mix, i)
-    return float(CoRiskEngine.from_mixture(mix).level("var", tau)[0, i])
+    return mixture_quantile(mix.weights, _marginal(mix, i), tau)
 
 
 def marginal_es(mix: PredictiveMixture, i: int, tau: float) -> float:
     """tau-level Expected Shortfall of the i-th marginal."""
-    _check_index(mix, i)
-    return float(CoRiskEngine.from_mixture(mix).level("es", tau)[0, i])
+    return mixture_es(mix.weights, _marginal(mix, i), tau)
 
 
 def conditional_mixture(mix: PredictiveMixture, target: int, cond_idx, cond_values):
@@ -419,7 +408,7 @@ def total_risk_series(fit: FitResult, measure: str = "both", tau1: float = 0.05,
     for i in range(p):
         series = RiskSeries(
             target=i,
-            distress=tuple(j for j in range(p) if j != i),
+            distress=tuple(engine.others[i].tolist()),
             tau1=tau1,
             tau2=tau2,
             var=var[:, i].copy(),

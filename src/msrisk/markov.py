@@ -458,14 +458,16 @@ def _relabel(params, smoothed, filtered):
     return model, smoothed[:, order], filtered[:, order]
 
 
-def _fit_observations(panel, L, tol) -> np.ndarray:
+def _fit_observations(panel, L, tol, max_iter) -> np.ndarray:
     """T x p observations of a panel to fit with L states, after the checks all starts share."""
     y = _observations(panel)
     t_len, p = y.shape
     if L < 1:
         raise ValueError("L must be >= 1")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     if t_len < 10 * p:
         raise ValueError(f"fitting guard: T={t_len} < 10 p={10 * p}")
     flat = np.flatnonzero(np.ptp(y, axis=0) == 0.0)
@@ -491,7 +493,7 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
     can cause, raises LikelihoodDecreaseError; iteration stops when the
     relative change drops below tol.
     """
-    y = _fit_observations(panel, L, tol)
+    y = _fit_observations(panel, L, tol, max_iter)
     params = _initial_params(y, L, init, seed)
     path, prev, converged, iterations = [], -np.inf, False, 0
     for it in range(max_iter):
@@ -532,7 +534,7 @@ def fit_restarts(panel, L, n_restarts=1, seed=0, *, tol=1e-8, max_iter=2000) -> 
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    t_len, p = _fit_observations(panel, L, tol).shape
+    t_len, p = _fit_observations(panel, L, tol, max_iter).shape
     _warn_small_sample(param_count(L, p), t_len)
     best = None
     last_error = None
@@ -562,7 +564,7 @@ def select_L(panel, L_range, criterion="aic", *, n_restarts=3, seed=0, tol=1e-8,
         raise ValueError("empty L range")
     if criterion not in ("aic", "bic"):
         raise ValueError("criterion must be 'aic' or 'bic'")
-    t_len, p = _fit_observations(panel, min(L_range), tol).shape
+    t_len, p = _fit_observations(panel, min(L_range), tol, max_iter).shape
     rows = []
     for L in L_range:
         k = param_count(L, p)

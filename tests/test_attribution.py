@@ -189,6 +189,13 @@ class TestAttributionSeries:
         assert series.shares[(0, 1)][0] < series.shares[(0, 2)][0] < 0.0
 
 
+    def test_repeated_target_rejected(self):
+        fit, _ = small_fit(p=3)
+        for targets, repeated in (((0, 0), 0), ((2, 1, 2), 2)):
+            with pytest.raises(ValueError, match=f"^target {repeated} is repeated in targets$"):
+                attribution_series(fit, targets=targets)
+
+
 class TestVisAVis:
     def test_symmetric_model_series_coincide(self):
         sigma = 0.02**2 * (np.full((3, 3), 0.5) + 0.5 * np.eye(3))

@@ -299,6 +299,17 @@ class TestRiskQuery:
         with pytest.raises(ValueError):
             RiskQuery(0, (1,), tau1=0.0)
 
+    @pytest.mark.parametrize(
+        "target, distress", [(1.0, (0,)), (1, (0.0, 2)), (np.float64(0.5), ())]
+    )
+    def test_rejects_fractional_series(self, target, distress):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            RiskQuery(target, distress)
+
+    def test_integer_types_become_int(self):
+        q = RiskQuery(np.int64(2), (np.int32(1), 0))
+        assert q == RiskQuery(2, (0, 1)) and type(q.target) is int
+
 
 class TestMarginals:
     def test_median_of_common_location(self):
@@ -712,6 +723,60 @@ class TestBatchedEngine:
         assert series.targets == () and series.shares == {} and series.grand == {}
 
 
+class TestEngineLayout:
+    """The engine builds its conditioning layout at construction and owns the player order."""
+
+    def test_others_is_every_callers_player_order(self):
+        fit, _ = engine_fit(3600, 2, 4)
+        engine = CoRiskEngine.from_fit(fit)
+        assert engine.others.shape == (4, 3)
+        series = total_risk_series(fit)
+        attribution = attribution_series(fit)
+        mix = build_predictive(fit, 5)
+        for i in range(4):
+            players = tuple(engine.others[i].tolist())
+            assert players == tuple(j for j in range(4) if j != i)
+            assert series[i].distress == players
+            assert characteristic_values(mix, i).players == players
+            assert tuple(j for t, j in attribution.shares if t == i) == players
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_one_series_engine(self, L):
+        mix = random_mixture(np.random.default_rng(3610 + L), L, 1)
+        engine = CoRiskEngine.from_mixture(mix)
+        assert engine.others.shape == (1, 0)
+        level = engine.level("var", 0.05)
+        assert level.shape == (1, 1) and level[0, 0] == marginal_var(mix, 0, 0.05)
+        with pytest.raises(ValueError, match="at least two series"):
+            engine.coalition_values([0], ["covar"], 0.05, 0.05, np.zeros((1, 0), dtype=bool))
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_marginals_equal_engine_levels(self, L, p):
+        mix = random_mixture(np.random.default_rng(3620 + 10 * L + p), L, p)
+        engine = CoRiskEngine.from_mixture(mix)
+        for tau in (0.01, 0.05, 0.5, 0.9):
+            for i in range(p):
+                assert marginal_var(mix, i, tau) == engine.level("var", tau)[0, i]
+                assert marginal_es(mix, i, tau) == engine.level("es", tau)[0, i]
+
+    @pytest.mark.parametrize("weights, date", [
+        ([[0.7, 0.7]], 0),
+        ([[np.nan, 1.0]], 0),
+        ([[0.5, 0.5], [1.5, -0.5]], 1),
+        ([[0.5, 0.5], [np.inf, 0.0]], 1),
+    ])
+    def test_weights_off_the_simplex_named(self, weights, date):
+        regimes = random_model(np.random.default_rng(3630), 2, 3).regimes
+        with pytest.raises(ValueError, match=f"^weights at date {date} must be finite, "
+                                             "nonnegative and sum to 1 within 1e-10"):
+            CoRiskEngine(weights, regimes)
+
+    def test_weights_within_tolerance_accepted(self):
+        regimes = random_model(np.random.default_rng(3631), 2, 3).regimes
+        assert CoRiskEngine([[0.5, 0.5 + 5e-11], [1.0, 0.0]], regimes).weights.shape == (2, 2)
+
+
 class TestCoalitionBoundary:
     def engine(self):
         fit, _ = engine_fit(3400, 2, 4)
@@ -733,6 +798,11 @@ class TestCoalitionBoundary:
     def test_unknown_measure(self):
         with pytest.raises(ValueError, match="measure must be"):
             self.engine().coalition_values([0], ["covar", "cvar"], 0.05, 0.05, [[True] * 3])
+
+    @pytest.mark.parametrize("target", [1.9, 1.0, np.float64(2.0)])
+    def test_fractional_target_rejected(self, target):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            self.engine().coalition_values([target], ["covar"], 0.05, 0.05, [[True] * 3])
 
 
 # Every public entry point that takes a measure family, called with "var";

@@ -708,6 +708,41 @@ class TestFitRestarts:
             fit_restarts(simulated_panel(300, seed=108), 2, n_restarts=0)
 
 
+# Every EM entry point that takes tol and max_iter, called with two states.
+FIT_ENTRY_POINTS = {
+    "em_fit": lambda panel, **kw: em_fit(panel, 2, **kw),
+    "fit_restarts": lambda panel, **kw: fit_restarts(panel, 2, n_restarts=2, **kw),
+    "select_L": lambda panel, **kw: select_L(panel, [1, 2], n_restarts=1, **kw),
+}
+
+
+class TestFitArguments:
+    """tol and max_iter are checked before any E-step runs."""
+
+    @pytest.fixture
+    def no_e_step(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an E-step ran before the arguments were checked")
+
+        monkeypatch.setattr(markov, "_e_step", fail)
+
+    @pytest.mark.parametrize("entry", sorted(FIT_ENTRY_POINTS))
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+    def test_tol_must_be_positive(self, entry, tol, no_e_step):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            FIT_ENTRY_POINTS[entry](simulated_panel(300, seed=116), tol=tol)
+
+    @pytest.mark.parametrize("entry", sorted(FIT_ENTRY_POINTS))
+    def test_negative_max_iter_rejected(self, entry, no_e_step):
+        with pytest.raises(ValueError, match="^max_iter must be >= 0$"):
+            FIT_ENTRY_POINTS[entry](simulated_panel(300, seed=116), max_iter=-5)
+
+    def test_zero_max_iter_returns_the_start(self):
+        fit = em_fit(simulated_panel(300, seed=116), 2, max_iter=0)
+        assert fit.iterations == 0 and not fit.converged
+        assert fit.loglik_path.shape == (1,) and fit.loglik_path[0] == fit.loglik
+
+
 class TestInformationCriteria:
     def test_param_count_table(self):
         assert [param_count(L, 4) for L in range(2, 7)] == [33, 53, 75, 99, 125]

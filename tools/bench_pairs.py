@@ -30,7 +30,10 @@ replay) and the write_attribution_json of the JSON_PANELS attributions
 (minimum over BLOCKS blocks).  Each interpreter also records the seconds
 its first msrisk import took and its peak resident set (ru_maxrss) right
 after that import.  Per timer it records every run and, per side, the best
-and the median of the runs.
+and the median of the runs.  Before any timing it runs the CHAIN of msrisk
+commands once per checkout, each side in a fresh directory, and records
+every output file's sha256 on both sides with a per-file and an overall
+`identical` flag.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -82,6 +86,20 @@ ROOT_PASS = {"risk": "total_risk_series.both", "shapley": "attribution_series.co
              "chain": "attribution_series.covar"}
 # INPUTS keys whose attribution_series(covar) is written as attribution.json
 JSON_PANELS = ("shapley", "chain")
+# The north-star CLI chain on the chain panel: `msrisk` arguments, run in
+# order in one directory, each command writing to its own --out directory.
+_PANEL, _MODEL = "simulate/panel.csv", "fit/model.json"
+CHAIN = (
+    ["simulate", *INPUTS["chain"], "--out", "simulate"],
+    ["stats", "--input", _PANEL, "--out", "stats"],
+    ["select", "--input", _PANEL, "--L-range", "2:6", "--restarts", "3", "--out", "select"],
+    ["fit", "--input", _PANEL, "--L", "2", "--out", "fit"],
+    ["risk", "--input", _PANEL, "--model", _MODEL, "--measure", "both", "--out", "risk"],
+    ["shapley", "--input", _PANEL, "--model", _MODEL, "--measure", "covar",
+     "--out", "shapley_covar"],
+    ["shapley", "--input", _PANEL, "--model", _MODEL, "--measure", "coes",
+     "--compare-standard", "--out", "shapley_coes"],
+)
 
 
 def source_digest(checkout: Path) -> str:
@@ -217,7 +235,6 @@ def time_layers():
     """Timers (ms) and EM iteration counts of one interpreter, keyed name@input."""
     import contextlib
     import itertools
-    import tempfile
 
     start = time.perf_counter()
     from msrisk import attribution, cli, corisk, markov, panel, simulate, studentt
@@ -300,6 +317,32 @@ def time_layers():
     return out
 
 
+def chain_digests(checkout: Path) -> dict:
+    """sha256 of every file the CHAIN writes with the checkout's msrisk, keyed by path."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in CHAIN:
+            subprocess.run([sys.executable, "-m", "msrisk.cli", *argv], cwd=tmp, env=env,
+                           capture_output=True, check=True)
+        return {path.relative_to(tmp).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(Path(tmp).rglob("*")) if path.is_file()}
+
+
+def compare_chain(sides) -> dict:
+    """Both sides' CHAIN output digests, with per-file and overall identical flags."""
+    digests = {side: chain_digests(path) for side, path in sides.items()}
+    files = {
+        name: {**{side: d.get(name) for side, d in digests.items()},
+               "identical": len({d.get(name) for d in digests.values()}) == 1}
+        for name in sorted(set().union(*digests.values()))
+    }
+    return {
+        "commands": [["msrisk", *argv] for argv in CHAIN],
+        "identical": all(f["identical"] for f in files.values()),
+        "files": files,
+    }
+
+
 def layer_ms(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
@@ -330,8 +373,10 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "order": "parent first on odd pairs, change first on even pairs",
         "source_sha256": {side: source_digest(path) for side, path in sides.items()},
+        "chain": compare_chain(sides),
         "workloads": {},
     }
+    print(f"chain outputs identical: {doc['chain']['identical']}", file=sys.stderr)
     for workload in WORKLOADS:
         seeds = [(SEED, PAIRS), EXTRA[workload]] if workload in EXTRA else [(SEED, PAIRS)]
         for seed, n_pairs in seeds:
