@@ -16,7 +16,7 @@ import numpy as np
 
 from .corisk import CoRiskEngine, coalition_masks
 from .markov import FitResult
-from .panel import _write_blocks
+from .panel import SCHEMA, _write_blocks
 from .predictive import PredictiveMixture, build_predictive
 
 MAX_PLAYERS = 20
@@ -248,7 +248,7 @@ def write_attribution_json(path, dates, names, series: AttributionSeries) -> Non
     rows = zip([json.dumps(d.isoformat()) for d in dates], *map(_json_floats, columns))
     records = ",".join("\n  " + record % row for row in rows)
     doc = _json_object([
-        (json.dumps("schema"), json.dumps("msrisk/1")),
+        (json.dumps("schema"), json.dumps(SCHEMA)),
         (json.dumps("measure"), json.dumps(series.measure)),
         (json.dumps("tau1"), json.dumps(series.tau1)),
         (json.dumps("tau2"), json.dumps(series.tau2)),

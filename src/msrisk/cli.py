@@ -25,7 +25,6 @@ from .studentt import MvtParams
 def _add_common(sub):
     sub.add_argument("--config", help="JSON file with default option values")
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_input(sub):
@@ -54,11 +53,13 @@ def _build_parser():
     p.add_argument("--L-range", default="2:6", help="inclusive range, e.g. 2:6")
     p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--criterion", choices=("aic", "bic"), default="aic")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("fit", help="fit the model and emit state probabilities")
     _add_input(p)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("risk", help="total-risk series from a fitted model")
     _add_input(p)
@@ -81,6 +82,7 @@ def _build_parser():
         "--compare-standard", action="store_true",
         help="also emit bivariate standard Delta series per pair",
     )
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("simulate", help="simulate a panel plus ground-truth model")
     _add_common(p)
@@ -88,6 +90,7 @@ def _build_parser():
     p.add_argument("--L", type=int, default=2)
     p.add_argument("--p", type=int, default=4)
     p.add_argument("--T", type=int, default=500)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

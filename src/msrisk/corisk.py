@@ -4,7 +4,8 @@ Marginal VaR/ES plus the Multiple-CoVaR / Multiple-CoES family: the tail
 quantile (or tail mean) of one series conditional on a distress set of the
 others sitting at their individual tail levels while the rest sit at their
 median-state levels, and the Delta variants that subtract the everyone-at-
-median baseline.
+median baseline.  Multiple-CoES is the conditional law's mean below its own
+tau1-quantile, the Multiple-CoVaR.
 
 Conditioning is point conditioning (a density slice).  Per mixture
 component the exact conditional Student-t is used and the component
@@ -33,6 +34,7 @@ from .markov import FitResult, MsTModel
 from .panel import _write_blocks
 from .predictive import PredictiveMixture, predictive_weight_path
 from .studentt import (
+    _check_es_nu,
     _mvt_log_norm,
     _stack_mvt,
     batched_mixture_quantile,
@@ -172,11 +174,14 @@ class CoRiskEngine:
         """Marginal VaR (and with es, ES) of every date and series at each uncached tau.
 
         The VaR levels of all new taus are one batched root, their ES levels
-        one batched truncated mean.
+        one batched truncated mean.  With es, every component's nu must
+        exceed 1, which is checked before any root.
         """
         for tau in taus:
             if not 0.0 < tau < 1.0:
                 raise ValueError("tau must lie strictly in (0, 1)")
+        if es:
+            _check_es_nu(self.nu)
         taus = sorted({float(t) for t in taus})
         # (date, series, tau) rows of the T marginal mixtures
         rows = (self.weights[:, None, None, :], self.mu.T[None, :, None, :],
@@ -234,18 +239,17 @@ class CoRiskEngine:
         return w, loc, scale
 
     def coalition_values(self, targets, measures, tau1: float, tau2: float,
-                         coalitions, threshold: str = "conditional") -> np.ndarray:
+                         coalitions) -> np.ndarray:
         """Multiple-CoVaR / -CoES of each target for each distress coalition and date.
 
         targets is a sequence of series indices and measures a sequence of
         families ('covar', 'coes').  coalitions is a (C, p - 1) boolean
         array over each target's other series in ascending order: a member
         sits at its tau2 level, a non-member at its 0.5 level (VaR levels
-        for 'covar', ES levels for 'coes').  threshold is the CoES
-        truncation point: the conditional law's own tau1-quantile
-        ('conditional') or the target's marginal VaR at tau1
-        ('unconditional').  Returns a T x F x P x C array, F = len(measures)
-        and P = len(targets), in the order given.
+        for 'covar', ES levels for 'coes').  CoVaR is the conditional law's
+        tau1-quantile and CoES its mean below that quantile.  Returns a
+        T x F x P x C array, F = len(measures) and P = len(targets), in the
+        order given.
         """
         measures = tuple(measures)
         # operator.index rejects a fractional index rather than truncating it
@@ -253,8 +257,6 @@ class CoRiskEngine:
         for m in measures:
             if m not in MEASURES:
                 raise ValueError("measure must be 'covar' or 'coes'")
-        if threshold not in ("conditional", "unconditional"):
-            raise ValueError("threshold must be 'conditional' or 'unconditional'")
         for i in targets:
             if not 0 <= i < self.dim:
                 raise IndexError(f"series index {i} outside dimension {self.dim}")
@@ -266,14 +268,13 @@ class CoRiskEngine:
             raise ValueError(
                 f"coalitions must be a nonempty (C, {d}) boolean array, got shape {masks.shape}"
             )
-        self.solve_levels((tau1, tau2, 0.5), es="coes" in measures)
+        if not 0.0 < tau1 < 1.0:
+            raise ValueError("tau must lie strictly in (0, 1)")
+        self.solve_levels((tau2, 0.5), es="coes" in measures)
         kinds = ["var" if m == "covar" else "es" for m in measures]
         others = self.others[targets]
         distress = np.stack([self.level(k, tau2)[:, others] for k in kinds], axis=1)
         normal = np.stack([self.level(k, 0.5)[:, others] for k in kinds], axis=1)
-        cutoff = self.level("var", tau1)[:, None, targets, None]
-        # families that need the conditional tau1-quantile, and the CoES ones
-        quant = [f for f, m in enumerate(measures) if m == "covar" or threshold == "conditional"]
         coes = [f for f, m in enumerate(measures) if m == "coes"]
         t_len, n_comp = self.weights.shape
         out = np.empty((t_len, len(measures), targets.size, masks.shape[0]))
@@ -285,20 +286,16 @@ class CoRiskEngine:
             x = np.where(masks, distress[dates, :, :, None, :], normal[dates, :, :, None, :])
             w, loc, scale = self._conditional(targets, x, dates)
             block = out[dates]
-            if quant:
-                block[:, quant] = batched_mixture_quantile(
-                    w[:, quant], loc[:, quant], scale[:, quant], nu, tau1
-                )
+            block[:] = batched_mixture_quantile(w, loc, scale, nu, tau1)
             if coes:
-                cut = block[:, coes] if threshold == "conditional" else cutoff[dates]
                 block[:, coes] = batched_mixture_truncated_mean(
-                    w[:, coes], loc[:, coes], scale[:, coes], nu, cut
+                    w[:, coes], loc[:, coes], scale[:, coes], nu, block[:, coes]
                 )
         return out
 
 
-def _query_values(mix: PredictiveMixture, q: RiskQuery, measure: str, baseline: bool,
-                  threshold: str = "conditional") -> np.ndarray:
+def _query_values(mix: PredictiveMixture, q: RiskQuery, measure: str,
+                  baseline: bool) -> np.ndarray:
     """Measure at the query's distress set and, with baseline, at the empty set."""
     for j in (q.target, *q.distress):
         _check_index(mix, j)
@@ -307,9 +304,7 @@ def _query_values(mix: PredictiveMixture, q: RiskQuery, measure: str, baseline: 
     engine = CoRiskEngine.from_mixture(mix)
     mask = np.isin(engine.others[q.target], q.distress)
     masks = [mask, np.zeros_like(mask)] if baseline else [mask]
-    return engine.coalition_values(
-        (q.target,), (measure,), q.tau1, q.tau2, masks, threshold=threshold
-    )[0, 0, 0]
+    return engine.coalition_values((q.target,), (measure,), q.tau1, q.tau2, masks)[0, 0, 0]
 
 
 def _marginal(mix: PredictiveMixture, i: int) -> list:
@@ -362,16 +357,14 @@ def multiple_covar(mix: PredictiveMixture, q: RiskQuery) -> float:
     return float(_query_values(mix, q, "covar", baseline=False)[0])
 
 
-def multiple_coes(mix: PredictiveMixture, q: RiskQuery, threshold: str = "conditional") -> float:
+def multiple_coes(mix: PredictiveMixture, q: RiskQuery) -> float:
     """Multiple-CoES: tail mean of the target given the conditioning slice.
 
     Conditioning coordinates sit at their ES levels (tau2 for the distress
-    set, 0.5 for the rest).  threshold picks the truncation point:
-    'conditional' (default) truncates at the conditional law's own
-    tau1-quantile; 'unconditional' truncates at the target's unconditional
-    marginal VaR_tau1.
+    set, 0.5 for the rest), and the mean is taken below the conditional
+    law's own tau1-quantile, its Multiple-CoVaR.
     """
-    return float(_query_values(mix, q, "coes", baseline=False, threshold=threshold)[0])
+    return float(_query_values(mix, q, "coes", baseline=False)[0])
 
 
 def delta_m_covar(mix: PredictiveMixture, q: RiskQuery) -> float:
@@ -380,9 +373,9 @@ def delta_m_covar(mix: PredictiveMixture, q: RiskQuery) -> float:
     return float(values[0] - values[1])
 
 
-def delta_m_coes(mix: PredictiveMixture, q: RiskQuery, threshold: str = "conditional") -> float:
+def delta_m_coes(mix: PredictiveMixture, q: RiskQuery) -> float:
     """Multiple-Delta-CoES: distress measure minus the all-at-median-ES baseline."""
-    values = _query_values(mix, q, "coes", baseline=True, threshold=threshold)
+    values = _query_values(mix, q, "coes", baseline=True)
     return float(values[0] - values[1])
 
 
@@ -402,6 +395,8 @@ def total_risk_series(fit: FitResult, measure: str = "both", tau1: float = 0.05,
     families = MEASURES if measure == "both" else (measure,)
     # grand coalition and the all-at-median baseline
     masks = np.array([[True] * (p - 1), [False] * (p - 1)])
+    # the tau1 levels are the var and es columns; one root solves them with the others
+    engine.solve_levels((tau1, tau2, 0.5), es=measure != "covar")
     values = engine.coalition_values(range(p), families, tau1, tau2, masks)
     var, es = engine.level("var", tau1), engine.level("es", tau1)
     out = []

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .panel import ReturnPanel
+from .panel import SCHEMA, ReturnPanel
 from .studentt import (MvtParams, _bracketed_newton, _stack_mvt, _stacked_logpdf,
                        _stacked_mahalanobis)
 
@@ -470,6 +470,10 @@ def _fit_observations(panel, L, tol, max_iter) -> np.ndarray:
         raise ValueError("max_iter must be >= 0")
     if t_len < 10 * p:
         raise ValueError(f"fitting guard: T={t_len} < 10 p={10 * p}")
+    # each regime's M-step needs p + 2 observations of posterior mass
+    if t_len < L * (p + 2):
+        raise ValueError(f"L={L} states with p={p} series need T >= L (p + 2) = "
+                         f"{L * (p + 2)} observations, got T={t_len}")
     flat = np.flatnonzero(np.ptp(y, axis=0) == 0.0)
     if flat.size:
         j = flat[0]
@@ -564,7 +568,8 @@ def select_L(panel, L_range, criterion="aic", *, n_restarts=3, seed=0, tol=1e-8,
         raise ValueError("empty L range")
     if criterion not in ("aic", "bic"):
         raise ValueError("criterion must be 'aic' or 'bic'")
-    t_len, p = _fit_observations(panel, min(L_range), tol, max_iter).shape
+    for L in (min(L_range), max(L_range)):
+        t_len, p = _fit_observations(panel, L, tol, max_iter).shape
     rows = []
     for L in L_range:
         k = param_count(L, p)
@@ -586,8 +591,6 @@ def select_L(panel, L_range, criterion="aic", *, n_restarts=3, seed=0, tol=1e-8,
 
 
 # --- serialization ------------------------------------------------------
-
-SCHEMA = "msrisk/1"
 
 
 def model_to_dict(model: MsTModel, *, labels=None, loglik=None, t_len=None) -> dict:
@@ -611,8 +614,28 @@ def model_to_dict(model: MsTModel, *, labels=None, loglik=None, t_len=None) -> d
 
 
 def model_from_dict(doc: dict):
-    """Inverse of model_to_dict; returns (model, metadata dict)."""
+    """Inverse of model_to_dict; returns (model, metadata dict).
+
+    A document that is not an object, carries another schema, lacks one of
+    L, p, regimes, Q and delta, has an L or p that is not a positive
+    integer, lists other than L regimes or holds a regime without mu,
+    sigma and nu is a ValueError naming what is wrong.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model file must hold a JSON object, not {type(doc).__name__}")
+    if doc.get("schema") != SCHEMA:
+        raise ValueError(f"model schema must be {SCHEMA!r}, got {doc.get('schema')!r}")
+    for key in ("L", "p", "regimes", "Q", "delta"):
+        if key not in doc:
+            raise ValueError(f"model file has no {key!r}")
     L, p = doc["L"], doc["p"]
+    if not (type(L) is int and L >= 1 and type(p) is int and p >= 1):
+        raise ValueError(f"model 'L' and 'p' must be positive integers, got {L!r} and {p!r}")
+    if not isinstance(doc["regimes"], list) or len(doc["regimes"]) != L:
+        raise ValueError(f"model 'regimes' must list L={L} regimes")
+    for l, r in enumerate(doc["regimes"]):
+        if not isinstance(r, dict) or not {"mu", "sigma", "nu"} <= r.keys():
+            raise ValueError(f"model regime {l} must be an object with mu, sigma and nu")
     regimes = [
         MvtParams(np.array(r["mu"]), np.array(r["sigma"]).reshape(p, p), r["nu"])
         for r in doc["regimes"]

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-CSV_SCHEMA = "# schema: msrisk/1"
+# The version of every file the package writes: CSV outputs, model and
+# attribution JSON.
+SCHEMA = "msrisk/1"
+CSV_SCHEMA = "# schema: " + SCHEMA
 
 
 class PanelError(ValueError):
@@ -179,12 +182,12 @@ def _is_comment(row) -> bool:
 _ROW_LOOP_CHARS = '"\0\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029'
 
 
-def _parse_body(body: str, width: int, date_idx: int, value_idx: list):
+def _parse_body(body: str, width: int):
     """(dates, values) of the data lines in one np.loadtxt call, or None.
 
     None means the lines need the row loop: a line holds one of
-    _ROW_LOOP_CHARS, a row is ragged, a cell does not parse, there are no
-    rows, or the date column is also a value column.  A result, when there is one, is the row loop's: without
+    _ROW_LOOP_CHARS, a row is ragged, a cell does not parse or there are
+    no rows.  A result, when there is one, is the row loop's: without
     those characters a line's cells are its ","-separated fields, and
     loadtxt reads a float exactly where float() does.
     """
@@ -193,29 +196,26 @@ def _parse_body(body: str, width: int, date_idx: int, value_idx: list):
     lines = list(filter(None, body.splitlines()))
     if "#" in body:
         lines = [line for line in lines if not line.lstrip().startswith("#")]
-    if not lines or date_idx in value_idx:
+    if not lines:
         return None
-    # One field per column: the values as floats, every other cell as text,
-    # so loadtxt also checks that each row has exactly `width` cells.
-    value_set = set(value_idx)
-    dtype = [(f"c{i}", float if i in value_set else object) for i in range(width)]
+    # One field per column: the dates as text, the values as floats, so
+    # loadtxt also checks that each row has exactly `width` cells.
+    dtype = [("c0", object)] + [(f"c{i}", float) for i in range(1, width)]
     try:
         table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         if len(table) != len(lines):  # loadtxt skipped a line the loop would not
             return None
-        dates = list(map(
-            datetime.date.fromisoformat, map(str.strip, table[f"c{date_idx}"].tolist())
-        ))
+        dates = list(map(datetime.date.fromisoformat, map(str.strip, table["c0"].tolist())))
     except ValueError:
         return None
-    return dates, np.column_stack([table[f"c{i}"] for i in value_idx])
+    return dates, np.column_stack([table[f"c{i}"] for i in range(1, width)])
 
 
-def load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
+def load_csv(path) -> ReturnPanel:
     """Load a dated panel from CSV.
 
-    date_column / value_columns select columns by header name; by default
-    the first column holds dates and every other column is a value series.
+    The first column holds dates and every other column is a value series,
+    named by the header (ReturnPanel.select picks and reorders series).
     Rows whose first cell starts with '#' (schema headers) and empty lines
     are skipped.  Any row with an unparseable cell is an error naming the
     offending row numbers (counted over the rows kept, the header being 1);
@@ -241,30 +241,17 @@ def load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
     if header is None:
         raise PanelError(f"{path}: empty file")
     header = [h.strip() for h in header]
-    if date_column is None:
-        date_idx = 0
-    else:
-        if date_column not in header:
-            raise PanelError(f"{path}: no column named {date_column!r}")
-        date_idx = header.index(date_column)
-    if value_columns is None:
-        value_idx = [i for i in range(len(header)) if i != date_idx]
-    else:
-        missing = [c for c in value_columns if c not in header]
-        if missing:
-            raise PanelError(f"{path}: no columns named {missing}")
-        value_idx = [header.index(c) for c in value_columns]
-    if not value_idx:
+    if len(header) < 2:
         raise PanelError(f"{path}: no value columns")
 
-    parsed = _parse_body(body, len(header), date_idx, value_idx)
+    parsed = _parse_body(body, len(header))
     if parsed is None:
-        parsed = _parse_rows(path, body, len(header), date_idx, value_idx, reader.line_num)
+        parsed = _parse_rows(path, body, len(header), reader.line_num)
     dates, values = parsed
-    return ReturnPanel(dates, [header[i] for i in value_idx], values)
+    return ReturnPanel(dates, header[1:], values)
 
 
-def _parse_rows(path, body: str, width: int, date_idx: int, value_idx: list, offset: int):
+def _parse_rows(path, body: str, width: int, offset: int):
     """(dates, values) of the data lines by csv.reader and one float() per cell.
 
     offset is the number of file lines before the body, so that a csv
@@ -280,8 +267,8 @@ def _parse_rows(path, body: str, width: int, date_idx: int, value_idx: list, off
         if len(row) != width:
             raise PanelError(f"{path}: ragged row at line {lineno}")
         try:
-            dates.append(datetime.date.fromisoformat(row[date_idx].strip()))
-            values.append([float(row[i]) for i in value_idx])
+            dates.append(datetime.date.fromisoformat(row[0].strip()))
+            values.append([float(cell) for cell in row[1:]])
         except ValueError:
             bad_rows.append(lineno)
     if bad_rows:

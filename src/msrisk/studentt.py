@@ -262,6 +262,14 @@ def _mixture_arrays(weights, comps):
     return w, mus, sigmas, nus
 
 
+def _check_es_nu(nu) -> None:
+    """Raise naming the first component whose nu <= 1: no ES exists there."""
+    bad = np.flatnonzero(~(nu > 1.0))
+    if bad.size:
+        raise ValueError(f"ES needs every component nu > 1, component {bad[0]} has "
+                         f"nu = {nu[bad[0]]}")
+
+
 def _rows(point, *arrays):
     """Broadcast a (...) point and (..., L) component arrays to flat rows.
 
@@ -401,8 +409,7 @@ def mixture_truncated_mean(weights, comps, cutoff) -> float:
     Requires every component nu > 1.
     """
     w, mus, sigmas, nus = _mixture_arrays(weights, comps)
-    if not np.all(nus > 1.0):
-        raise ValueError("truncated mean requires every component nu > 1")
+    _check_es_nu(nus)
     return float(batched_mixture_truncated_mean(w, mus, sigmas, nus, cutoff))
 
 

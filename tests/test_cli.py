@@ -254,6 +254,35 @@ class TestRisk:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "risk.csv").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [1, 2], "a model file must hold a JSON object, not list"),
+        (lambda doc: {}, "model schema must be 'msrisk/1', got None"),
+        (lambda doc: {**doc, "schema": "msrisk/2"},
+         "model schema must be 'msrisk/1', got 'msrisk/2'"),
+        *[(lambda doc, key=key: {k: v for k, v in doc.items() if k != key},
+           f"model file has no {key!r}") for key in ("L", "p", "regimes", "Q", "delta")],
+        (lambda doc: {**doc, "L": 2.0},
+         "model 'L' and 'p' must be positive integers, got 2.0 and 2"),
+        (lambda doc: {**doc, "p": "2"},
+         "model 'L' and 'p' must be positive integers, got 2 and '2'"),
+        (lambda doc: {**doc, "regimes": doc["regimes"][:1]},
+         "model 'regimes' must list L=2 regimes"),
+        (lambda doc: {**doc, "regimes": {"0": doc["regimes"][0]}},
+         "model 'regimes' must list L=2 regimes"),
+        (lambda doc: {**doc, "regimes": [doc["regimes"][0], {"mu": [0.0, 0.0]}]},
+         "model regime 1 must be an object with mu, sigma and nu"),
+    ], ids=["list", "empty", "schema", "no-L", "no-p", "no-regimes", "no-Q", "no-delta",
+            "float-L", "text-p", "short-regimes", "regimes-object", "regime-fields"])
+    def test_malformed_model_is_an_error(self, sim_dir, tmp_path, capsys, edit, message):
+        doc = json.loads((sim_dir / "truth_model.json").read_text())
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(edit(doc)))
+        code = main(["risk", "--input", str(sim_dir / "panel.csv"), "--model", str(bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "risk.csv").exists()
+
 
 class TestShapley:
     def test_attribution_outputs(self, sim3_dir, tmp_path):
@@ -408,6 +437,32 @@ class TestConfig:
                  "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path)]
             )
         assert "--bogus-key=3" in capsys.readouterr().err
+
+
+class TestSeedFlag:
+    """--seed belongs to the commands that draw random numbers and to no other."""
+
+    @pytest.mark.parametrize("command", ["stats", "risk"])
+    def test_rejected_where_nothing_is_drawn(self, sim_dir, tmp_path, capsys, command):
+        argv = [command, "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path),
+                "--seed", "1"]
+        if command == "risk":
+            argv += ["--model", str(sim_dir / "truth_model.json")]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, has_seed", [
+        ("stats", False), ("risk", False),
+        ("select", True), ("fit", True), ("shapley", True), ("simulate", True),
+    ])
+    def test_help_lists_seed_only_where_drawn(self, capsys, command, has_seed):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert ("--seed" in capsys.readouterr().out) == has_seed
 
 
 def test_import_leaves_scipy_linalg_unloaded():

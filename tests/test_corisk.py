@@ -181,8 +181,7 @@ def oracle_level(engine, kind, tau):
     return var if kind == "var" else batched_mixture_truncated_mean(*rows, var)
 
 
-def oracle_coalition_values(engine, target, measure, tau1, tau2, masks,
-                            threshold="conditional"):
+def oracle_coalition_values(engine, target, measure, tau1, tau2, masks):
     """T x C Multiple-CoVaR or -CoES of one target, from that target's own block."""
     others = [j for j in range(engine.dim) if j != target]
     d = len(others)
@@ -215,12 +214,9 @@ def oracle_coalition_values(engine, target, measure, tau1, tau2, masks,
     w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     nu = engine.nu + d
+    cut = batched_mixture_quantile(w, loc, scale, nu, tau1)
     if measure == "covar":
-        return batched_mixture_quantile(w, loc, scale, nu, tau1)
-    if threshold == "conditional":
-        cut = batched_mixture_quantile(w, loc, scale, nu, tau1)
-    else:
-        cut = oracle_level(engine, "var", tau1)[:, target, None]
+        return cut
     return batched_mixture_truncated_mean(w, loc, scale, nu, cut)
 
 
@@ -493,16 +489,6 @@ class TestMultipleCoes:
             q = RiskQuery(0, (1, 2), 0.05, 0.05)
             assert multiple_coes(mix, q) < multiple_covar(mix, q)
 
-    def test_unconditional_threshold_variant(self):
-        rng = np.random.default_rng(78)
-        mix = random_mixture(rng, 2, 2)
-        q = RiskQuery(0, (1,), 0.05, 0.05)
-        cond = multiple_coes(mix, q, threshold="conditional")
-        uncond = multiple_coes(mix, q, threshold="unconditional")
-        assert cond != uncond
-        with pytest.raises(ValueError):
-            multiple_coes(mix, q, threshold="exact")
-
 
 class TestDeltaMeasures:
     def test_tau2_half_is_exactly_zero(self):
@@ -674,18 +660,13 @@ class TestBatchedEngine:
                         *oracle_attribution_series(fit, measure, tau1, tau2, h, probs),
                     )
                 engine = CoRiskEngine.from_fit(fit, h, probs)
-                for threshold in ("conditional", "unconditional"):
-                    for measures in (("covar",), ("coes",), ("coes", "covar")):
-                        got = engine.coalition_values(
-                            range(p), measures, tau1, tau2, masks, threshold
-                        )
-                        assert got.shape == (12, len(measures), p, len(masks))
-                        for f, measure in enumerate(measures):
-                            for i in range(p):
-                                want = oracle_coalition_values(
-                                    engine, i, measure, tau1, tau2, masks, threshold
-                                )
-                                np.testing.assert_array_equal(got[:, f, i], want)
+                for measures in (("covar",), ("coes",), ("coes", "covar")):
+                    got = engine.coalition_values(range(p), measures, tau1, tau2, masks)
+                    assert got.shape == (12, len(measures), p, len(masks))
+                    for f, measure in enumerate(measures):
+                        for i in range(p):
+                            want = oracle_coalition_values(engine, i, measure, tau1, tau2, masks)
+                            np.testing.assert_array_equal(got[:, f, i], want)
 
     def test_date_blocks_split_mid_sample(self, monkeypatch):
         fit, _ = engine_fit(3100, 2, 4)
@@ -775,6 +756,44 @@ class TestEngineLayout:
     def test_weights_within_tolerance_accepted(self):
         regimes = random_model(np.random.default_rng(3631), 2, 3).regimes
         assert CoRiskEngine([[0.5, 0.5 + 5e-11], [1.0, 0.0]], regimes).weights.shape == (2, 2)
+
+
+class TestEsNeedsNuAboveOne:
+    """A component with nu <= 1 has no ES; every ES path names it, the engine before any root."""
+
+    MESSAGE = r"^ES needs every component nu > 1, component 1 has nu = 0\.8$"
+
+    @staticmethod
+    def mixture():
+        mix = random_mixture(np.random.default_rng(3640), 3, 3)
+        comps = [MvtParams(c.mu, c.sigma, nu) for c, nu in zip(mix.components, (5.0, 0.8, 1.0))]
+        return PredictiveMixture(mix.weights, comps, horizon=1, as_of=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda mix: CoRiskEngine.from_mixture(mix).level("es", 0.05),
+        lambda mix: CoRiskEngine.from_mixture(mix).solve_levels([0.05, 0.5], es=True),
+        lambda mix: multiple_coes(mix, RiskQuery(0, (1, 2))),
+        lambda mix: delta_m_coes(mix, RiskQuery(2, (0,))),
+        lambda mix: CoRiskEngine.from_mixture(mix).coalition_values(
+            [0, 1], ["covar", "coes"], 0.05, 0.05, [[True, False]]),
+    ], ids=["level", "solve_levels", "multiple_coes", "delta_m_coes", "coalition_values"])
+    def test_named_before_any_root(self, monkeypatch, call):
+        def no_root(*args, **kwargs):
+            raise AssertionError("a quantile root ran before nu was checked")
+
+        monkeypatch.setattr(corisk, "batched_mixture_quantile", no_root)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            call(self.mixture())
+
+    def test_marginal_es_names_the_component(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            marginal_es(self.mixture(), 0, 0.05)
+
+    def test_var_levels_need_no_finite_mean(self):
+        mix = self.mixture()
+        engine = CoRiskEngine.from_mixture(mix)
+        assert engine.level("var", 0.05)[0, 1] == marginal_var(mix, 1, 0.05)
+        assert np.isfinite(multiple_covar(mix, RiskQuery(0, (1, 2))))
 
 
 class TestCoalitionBoundary:

@@ -36,26 +36,13 @@ def oracle_write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def oracle_load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
+def oracle_load_csv(path) -> ReturnPanel:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
     if not rows:
         raise PanelError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
-    if date_column is None:
-        date_idx = 0
-    else:
-        if date_column not in header:
-            raise PanelError(f"{path}: no column named {date_column!r}")
-        date_idx = header.index(date_column)
-    if value_columns is None:
-        value_idx = [i for i in range(len(header)) if i != date_idx]
-    else:
-        missing = [c for c in value_columns if c not in header]
-        if missing:
-            raise PanelError(f"{path}: no columns named {missing}")
-        value_idx = [header.index(c) for c in value_columns]
-    if not value_idx:
+    if len(header) < 2:
         raise PanelError(f"{path}: no value columns")
 
     dates, values, bad_rows = [], [], []
@@ -63,15 +50,15 @@ def oracle_load_csv(path, date_column=None, value_columns=None) -> ReturnPanel:
         if len(row) != len(header):
             raise PanelError(f"{path}: ragged row at line {lineno}")
         try:
-            dates.append(datetime.date.fromisoformat(row[date_idx].strip()))
-            values.append([float(row[i]) for i in value_idx])
+            dates.append(datetime.date.fromisoformat(row[0].strip()))
+            values.append([float(cell) for cell in row[1:]])
         except ValueError:
             bad_rows.append(lineno)
     if bad_rows:
         raise PanelError(f"{path}: unparseable cells in rows {bad_rows}")
     if not dates:
         raise PanelError(f"{path}: no data rows")
-    return ReturnPanel(dates, [header[i] for i in value_idx], np.array(values))
+    return ReturnPanel(dates, header[1:], np.array(values))
 
 
 # ---------------------------------------------------------------- writer
@@ -304,10 +291,10 @@ class TestWriterOracle:
 # ---------------------------------------------------------------- reader
 
 
-def outcome(load, path, **kwargs):
+def outcome(load, path):
     """What a loader makes of a file: the panel's exact contents, or the error."""
     try:
-        pan = load(path, **kwargs)
+        pan = load(path)
     except Exception as exc:  # the error must match too
         return type(exc).__name__, str(exc)
     return pan.dates, pan.names, pan.returns.shape, pan.returns.tobytes()
@@ -348,7 +335,7 @@ names_st = st.text(alphabet="abcxyz ,\"#+", min_size=1, max_size=5).filter(
 
 @st.composite
 def panel_files(draw):
-    """(file text, load_csv keyword arguments) of a small panel, clean or often broken.
+    """File text of a small panel, clean or often broken, with the dates first.
 
     A clean file holds only numbers, dates, comment and empty lines between
     the header and the rows; a hostile one also holds quoted, padded and
@@ -357,9 +344,7 @@ def panel_files(draw):
     hostile = draw(st.booleans())
     n_values = draw(st.integers(1 if hostile else 2, 4))
     names = draw(st.lists(names_st, min_size=n_values, max_size=n_values, unique_by=str.strip))
-    date_name = draw(st.sampled_from(["date", "day"]))
-    date_pos = draw(st.integers(0, n_values))
-    header = names[:date_pos] + [date_name] + names[date_pos:]
+    header = [draw(st.sampled_from(["date", "day"])), *names]
 
     out = io.StringIO(newline="")
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
@@ -373,7 +358,7 @@ def panel_files(draw):
         if hostile:
             day = draw(st.sampled_from([day, day, f" {day} ", f'"{day}"']))
         row = [draw(cells(hostile)) for _ in names]
-        row.insert(date_pos, day)
+        row.insert(0, day)
         ragged = draw(st.sampled_from(["ok"] * 12 + ["short", "long"])) if hostile else "ok"
         if ragged == "short":
             row.pop()
@@ -385,27 +370,16 @@ def panel_files(draw):
     if draw(st.booleans()):
         lines.insert(0, CSV_SCHEMA)
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = ending.join(lines) + draw(st.sampled_from(["", ending]))
-
-    kwargs = {}
-    if date_pos or draw(st.booleans()):
-        kwargs["date_column"] = date_name
-    if draw(st.booleans()):
-        stripped = [n.strip() for n in names]
-        kwargs["value_columns"] = draw(st.permutations(stripped))[
-            :draw(st.integers(1 if hostile else 2, len(stripped)))
-        ]
-    return text, kwargs
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
 class TestReaderOracle:
     @settings(max_examples=300, deadline=None)
-    @given(case=panel_files())
-    def test_same_panel_or_same_error(self, tmp_path_factory, case):
-        text, kwargs = case
+    @given(text=panel_files())
+    def test_same_panel_or_same_error(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("csv") / "panel.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert outcome(load_csv, path, **kwargs) == outcome(oracle_load_csv, path, **kwargs)
+        assert outcome(load_csv, path) == outcome(oracle_load_csv, path)
 
     def test_clean_file_is_parsed_without_the_row_loop(self, monkeypatch, tmp_path):
         assert main(["simulate", "--L", "2", "--p", "3", "--T", "50", "--out", str(tmp_path)]) == 0

@@ -717,7 +717,7 @@ FIT_ENTRY_POINTS = {
 
 
 class TestFitArguments:
-    """tol and max_iter are checked before any E-step runs."""
+    """tol, max_iter and the state count are checked before any E-step runs."""
 
     @pytest.fixture
     def no_e_step(self, monkeypatch):
@@ -741,6 +741,23 @@ class TestFitArguments:
         fit = em_fit(simulated_panel(300, seed=116), 2, max_iter=0)
         assert fit.iterations == 0 and not fit.converged
         assert fit.loglik_path.shape == (1,) and fit.loglik_path[0] == fit.loglik
+
+    # p=3 and T=40: the M-step's p + 2 observations per regime allow L <= 8.
+    @pytest.mark.parametrize("call", [
+        lambda panel: em_fit(panel, 9),
+        lambda panel: em_fit(panel, 9, init="random", seed=0),
+        lambda panel: fit_restarts(panel, 9, n_restarts=2),
+        lambda panel: select_L(panel, [2, 9], n_restarts=1),
+        lambda panel: select_L(panel, range(1, 10), n_restarts=1),
+    ], ids=["em_fit", "em_fit-random", "fit_restarts", "select_L-max", "select_L-range"])
+    def test_state_count_the_panel_cannot_hold(self, call, no_e_step):
+        with pytest.raises(ValueError, match=r"^L=9 states with p=3 series need "
+                                             r"T >= L \(p \+ 2\) = 45 observations, got T=40$"):
+            call(simulated_panel(40, seed=117))
+
+    def test_state_count_at_the_bound_is_fitted(self, no_e_step):
+        with pytest.raises(AssertionError, match="an E-step ran"):
+            em_fit(simulated_panel(40, seed=117), 8)
 
 
 class TestInformationCriteria:

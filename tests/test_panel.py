@@ -62,20 +62,6 @@ class TestLoadCsv:
         with pytest.raises(PanelError, match=r"rows \[3\]"):
             load_csv(path)
 
-    def test_named_columns(self, tmp_path):
-        path = write(
-            tmp_path,
-            "day,a,b,c\n2020-01-01,0.1,0.2,0.3\n2020-01-08,0.0,0.1,0.2\n",
-        )
-        pan = load_csv(path, date_column="day", value_columns=["c", "a"])
-        assert pan.names == ("c", "a")
-        np.testing.assert_allclose(pan.returns[0], [0.3, 0.1])
-
-    def test_missing_column_error(self, tmp_path):
-        path = write(tmp_path, "date,a,b\n2020-01-01,0.1,0.2\n")
-        with pytest.raises(PanelError, match="zz"):
-            load_csv(path, value_columns=["zz"])
-
     def test_empty_file(self, tmp_path):
         with pytest.raises(PanelError, match="empty"):
             load_csv(write(tmp_path, ""))

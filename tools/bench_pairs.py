@@ -33,7 +33,8 @@ after that import.  Per timer it records every run and, per side, the best
 and the median of the runs.  Before any timing it runs the CHAIN of msrisk
 commands once per checkout, each side in a fresh directory, and records
 every output file's sha256 on both sides with a per-file and an overall
-`identical` flag.
+`identical` flag.  Each side's source is recorded by the sha256 and the
+line count of its src/msrisk/*.py.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ def source_digest(checkout: Path) -> str:
     for path in sorted((checkout / "src" / "msrisk").glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def source_lines(checkout: Path) -> int:
+    """Line count of the checkout's src/msrisk/*.py."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (checkout / "src" / "msrisk").glob("*.py"))
 
 
 def perfbench_command(workload: str, seed=SEED) -> list:
@@ -373,6 +380,7 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "order": "parent first on odd pairs, change first on even pairs",
         "source_sha256": {side: source_digest(path) for side, path in sides.items()},
+        "source_lines": {side: source_lines(path) for side, path in sides.items()},
         "chain": compare_chain(sides),
         "workloads": {},
     }
