@@ -4,6 +4,10 @@ Fits L-state multivariate Student-t regime-switching models to return
 panels, builds h-step-ahead predictive mixtures, computes Multiple-CoVaR /
 Multiple-CoES and their Delta variants, and attributes total co-risk
 across sectors with exact Shapley values.
+
+scipy.special is imported inside the functions that call it, never at
+module level: importing it costs about 0.3 s, which `import msrisk` and
+the commands that make no special-function call (simulate, stats) skip.
 """
 
 from .attribution import (

@@ -26,7 +26,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .panel import SCHEMA, ReturnPanel
 from .studentt import (MvtParams, _bracketed_newton, _stack_mvt, _stacked_logpdf,
@@ -376,6 +375,8 @@ def _nu_step(maha, w, nu_old, p):
     psi' = zeta(2, .).  A regime whose score keeps its sign on the bracket
     takes that bound; the others are solved by _bracketed_newton, to 1e-10.
     """
+    from scipy import special
+
     L = len(nu_old)
 
     def minus_score(nu, rows):

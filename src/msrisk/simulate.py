@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .markov import MsTModel
 from .panel import ReturnPanel
@@ -116,6 +115,8 @@ def sample_path(spec: SimSpec):
 
 def _joint_logpdf(x, mu, sigma, nu):
     """Direct multivariate-t log-density (inverse/determinant formulation)."""
+    from scipy.special import gammaln
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
@@ -245,11 +246,15 @@ def brute_force_loglik(model: MsTModel, panel) -> float:
 
     Independent oracle for the forward recursion; guarded at L^T <= 1e6.
     """
+    from scipy.special import logsumexp
+
     return float(logsumexp(_path_logprobs(model, panel)[1]))
 
 
 def brute_force_posteriors(model: MsTModel, panel):
     """(smoothed, pairwise) state posteriors by path enumeration."""
+    from scipy.special import logsumexp
+
     paths, logp = _path_logprobs(model, panel)
     t_len = len(paths[0])
     L = model.n_states

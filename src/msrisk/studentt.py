@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 EPS = np.finfo(float).eps
 
@@ -83,6 +82,8 @@ def _mvt_log_norm(nu, k, logdet=0.0):
     overflows (k of a few hundred) its log exceeds 709 and the gammaln
     difference is used instead, which then loses nothing.
     """
+    from scipy import special
+
     ratio = special.poch(0.5 * nu, 0.5 * k)
     log_ratio = np.where(
         np.isfinite(ratio), np.log(ratio),
@@ -146,6 +147,8 @@ def mvt_logpdf(x, p: MvtParams):
 
 def t_cdf(z, nu):
     """CDF of the standardized univariate Student-t."""
+    from scipy import special
+
     if not np.all(np.asarray(nu) > 0):
         raise ValueError("nu must be positive")
     return special.stdtr(nu, z)
@@ -153,6 +156,8 @@ def t_cdf(z, nu):
 
 def t_quantile(tau, nu):
     """Quantile of the standardized univariate Student-t."""
+    from scipy import special
+
     tau = np.asarray(tau, dtype=float)
     if not np.all((tau > 0.0) & (tau < 1.0)):
         raise ValueError("tau must lie strictly in (0, 1)")
@@ -340,6 +345,8 @@ def batched_mixture_quantile(weights, mu, scale, nu, tau):
     The standard t quantiles and log-normalisers depend on nu and tau alone
     and are evaluated before the inputs are spread over rows.
     """
+    from scipy import special
+
     nu, tau = np.asarray(nu, dtype=float), np.asarray(tau, dtype=float)
     shape, tau, (w, mu, s, nu, std_q, log_norm) = _rows(
         tau, weights, mu, scale, nu, special.stdtrit(nu, tau[..., None]), _mvt_log_norm(nu, 1)
@@ -374,6 +381,8 @@ def batched_mixture_truncated_mean(weights, mu, scale, nu, cutoff):
     Broadcasting and validation as in batched_mixture_quantile, plus every
     nu > 1.  Raises ValueError when some row has no mass below its cutoff.
     """
+    from scipy import special
+
     shape, cutoff, (w, mu, s, nu) = _rows(cutoff, weights, mu, scale, nu)
     z = (cutoff[:, None] - mu) / s
     cdf = special.stdtr(nu, z)
@@ -386,6 +395,8 @@ def batched_mixture_truncated_mean(weights, mu, scale, nu, cutoff):
 
 def mixture_cdf(x, weights, comps):
     """CDF of a finite mixture of univariate t components at x."""
+    from scipy import special
+
     w, mus, sigmas, nus = _mixture_arrays(weights, comps)
     return float(np.sum(w * special.stdtr(nus, (x - mus) / sigmas)))
 
@@ -417,7 +428,9 @@ def mixture_es(weights, comps, tau) -> float:
     """Lower-tail Expected Shortfall of a univariate t mixture at level tau.
 
     The truncation point is the mixture's own tau-quantile, so the mass
-    below it is exactly tau.
+    below it is exactly tau.  Every component nu must exceed 1, which is
+    checked before that quantile is solved.
     """
+    _check_es_nu(_mixture_arrays(weights, comps)[3])
     q = mixture_quantile(weights, comps, tau)
     return mixture_truncated_mean(weights, comps, q)

@@ -1,4 +1,6 @@
 import csv
+import importlib
+import inspect
 import json
 import math
 import os
@@ -478,3 +480,66 @@ def test_import_leaves_scipy_linalg_unloaded():
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip() == "[]"
+
+
+def test_simulate_and_stats_leave_scipy_unloaded(tmp_path):
+    # A fresh interpreter, since the test suite imports scipy itself:
+    # scipy.special loads on the first special-function call, which import,
+    # simulate and stats never make and risk does.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = """if True:
+        import json, sys
+        import msrisk, msrisk.cli
+        out = sys.argv[1]
+        panel, model = out + "/sim/panel.csv", out + "/sim/truth_model.json"
+        runs = [("import", None),
+                ("simulate", ["simulate", "--L", "2", "--p", "2", "--T", "120",
+                              "--seed", "7", "--out", out + "/sim"]),
+                ("stats", ["stats", "--input", panel, "--out", out + "/stats"]),
+                ("risk", ["risk", "--input", panel, "--model", model, "--out", out + "/risk"])]
+        report = {}
+        for name, argv in runs:
+            code = None if argv is None else msrisk.cli.main(argv)
+            report[name] = [code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+        print(json.dumps(report))
+    """
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    report = json.loads(result.stdout.strip().splitlines()[-1])
+    assert report["import"] == [None, []]
+    assert report["simulate"] == [0, []]
+    assert report["stats"] == [0, []]
+    risk_code, loaded = report["risk"]
+    assert risk_code == 0 and "scipy.special" in loaded
+
+    sim = tmp_path / "sim"
+    assert main(["risk", "--input", str(sim / "panel.csv"), "--model",
+                 str(sim / "truth_model.json"), "--out", str(tmp_path / "in_process")]) == 0
+    assert (tmp_path / "risk" / "risk.csv").read_bytes() == (
+        tmp_path / "in_process" / "risk.csv"
+    ).read_bytes()
+
+
+# Public functions that have no docstring, and the private functions that
+# import scipy.special in their body.
+UNDOCUMENTED = {"markov": {"load_model", "model_to_dict", "save_model"}}
+SCIPY_IMPORTERS = {"studentt": ["_mvt_log_norm"], "markov": ["_nu_step"],
+                   "simulate": ["_joint_logpdf"]}
+
+
+@pytest.mark.parametrize("name", ["studentt", "markov", "simulate"])
+def test_functions_keep_their_docstrings(name):
+    # An import above a docstring makes it a plain expression and __doc__ None.
+    module = importlib.import_module(f"msrisk.{name}")
+    public = [n for n, f in vars(module).items()
+              if inspect.isfunction(f) and f.__module__ == module.__name__
+              and not n.startswith("_") and n not in UNDOCUMENTED.get(name, ())]
+    assert public
+    missing = [n for n in public + SCIPY_IMPORTERS[name]
+               if not (getattr(module, n).__doc__ or "").strip()]
+    assert missing == []

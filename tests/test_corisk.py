@@ -23,7 +23,7 @@ from msrisk import (
     t_quantile,
     total_risk_series,
 )
-from msrisk import corisk
+from msrisk import corisk, studentt
 from msrisk.attribution import (
     _shapley_shares,
     attribution_series,
@@ -788,6 +788,21 @@ class TestEsNeedsNuAboveOne:
     def test_marginal_es_names_the_component(self):
         with pytest.raises(ValueError, match=self.MESSAGE):
             marginal_es(self.mixture(), 0, 0.05)
+
+    def test_marginal_es_checks_before_its_root(self, monkeypatch):
+        mix = random_mixture(np.random.default_rng(3641), 2, 2)
+        comps = [MvtParams(c.mu, c.sigma, nu) for c, nu in zip(mix.components, (5.0, 0.8))]
+        mix = PredictiveMixture(mix.weights, comps, horizon=1, as_of=0)
+        calls, real = [], studentt.batched_mixture_quantile
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(studentt, "batched_mixture_quantile", counted)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            marginal_es(mix, 0, 0.05)
+        assert calls == []
 
     def test_var_levels_need_no_finite_mean(self):
         mix = self.mixture()

@@ -8,10 +8,11 @@ the workloads fit, risk and shapley the script runs `python3
 perfbench/run.py --workload W --seed 0 --seconds 10 --trace 0` in the two
 checkouts in turn, PAIRS times, parent first on odd pairs and change first
 on even ones (plus the EXTRA pairs at other seeds), and keeps each run's
-end-to-end metrics, correctness and `machine` block.  Per metric it records
-both sides' medians and quartiles and how many pairs the change won, with
-the direction ("better") taken from the change's BENCHMARK.json.  It then
-times the library in LAYER_RUNS fresh interpreters of each checkout
+end-to-end metrics, correctness, `machine` block and the seconds of its
+first pass, which pays whatever the set-up left to load.  Per metric it
+records both sides' medians and quartiles and how many pairs the change
+won, with the direction ("better") taken from the change's BENCHMARK.json.
+It then times the library in LAYER_RUNS fresh interpreters of each checkout
 (alternating), each on the INPUTS panels: the LAYERS co-risk calls on the
 risk, shapley and chain panels and one E-step and one M-step at the fitted
 parameters of the fit panel, each the minimum over BLOCKS blocks of one
@@ -19,21 +20,24 @@ call; the em_fit of the fit panel and its iterations; and the chain
 commands' EM, the SELECT sweep and the COMPARE pairwise fits of `msrisk
 shapley --compare-standard`, each the minimum of EM_CALLS calls, with the
 iterations of all their EM starts; the load_csv of every INPUTS panel
-(minimum over BLOCKS blocks), one in-process `msrisk fit --L 2
---restarts 1` pass on the fit panel (minimum of EM_CALLS calls), so that
-cli_fit - em_fit is the pass's input and output cost, and the sample_path
-that simulates the SAMPLE_PATH panels from their truth models (minimum
-over BLOCKS blocks), every batched_mixture_quantile call of the ROOT_PASS
-pass on the risk, shapley and chain panels replayed (minimum over BLOCKS
-blocks, with the special.stdtr values and calls, i.e. root sweeps, of one
-replay) and the write_attribution_json of the JSON_PANELS attributions
-(minimum over BLOCKS blocks).  Each interpreter also records the seconds
-its first msrisk import took and its peak resident set (ru_maxrss) right
-after that import.  Per timer it records every run and, per side, the best
-and the median of the runs.  Before any timing it runs the CHAIN of msrisk
-commands once per checkout, each side in a fresh directory, and records
-every output file's sha256 on both sides with a per-file and an overall
-`identical` flag.  Each side's source is recorded by the sha256 and the
+(minimum over BLOCKS blocks), one in-process `msrisk fit --L 2 --restarts
+1` pass on the fit panel (minimum of EM_CALLS calls), so that cli_fit -
+em_fit is the pass's input and output cost, and the sample_path that
+simulates the SAMPLE_PATH panels from their truth models (minimum over
+BLOCKS blocks), every batched_mixture_quantile call of the ROOT_PASS pass
+on the risk, shapley and chain panels replayed (minimum over BLOCKS blocks,
+with the special.stdtr values and calls, i.e. root sweeps, of one replay,
+counted on the scipy.special module) and the write_attribution_json of the
+JSON_PANELS attributions (minimum over BLOCKS blocks).  Each interpreter
+also records the seconds its first msrisk import took and its peak resident
+set (ru_maxrss) right after that import.  Per timer it records every run
+and, per side, the best and the median of the runs.  Before any timing it
+runs the CHAIN of msrisk commands CHAIN_RUNS times per checkout,
+alternating which side goes first, each run in a fresh directory and each
+command in a fresh process.  It records every output file's sha256 of the
+first run on both sides, with a per-file and an overall `identical` flag,
+and per command and side the process wall seconds of every run, with their
+median and quartiles.  Each side's source is recorded by the sha256 and the
 line count of its src/msrisk/*.py.
 """
 
@@ -55,7 +59,7 @@ WORKLOADS = ("fit", "risk", "shapley")
 PAIRS = 10
 SEED = 0
 # workload -> (seed, pairs) run after the PAIRS at SEED
-EXTRA = {"fit": (13, 5), "shapley": (13, 5)}
+EXTRA = {"fit": (13, 5), "risk": (13, 5), "shapley": (13, 5)}
 SECONDS = 10.0
 LAYER_RUNS = 5
 BLOCKS = 15
@@ -101,6 +105,8 @@ CHAIN = (
     ["shapley", "--input", _PANEL, "--model", _MODEL, "--measure", "coes",
      "--compare-standard", "--out", "shapley_coes"],
 )
+# Runs of the CHAIN per side, alternating which side goes first
+CHAIN_RUNS = 5
 
 
 def source_digest(checkout: Path) -> str:
@@ -138,6 +144,7 @@ def run_perfbench(checkout: Path, workload: str, seed: int = SEED) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "passes": len(record["passes"]),
+        "first_pass_s": record["passes"][0]["seconds"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "machine": record["machine"],
     }
@@ -194,7 +201,7 @@ def min_call_ms(fn) -> float:
     return 1e3 * min(calls)
 
 
-def root_cost(corisk, studentt, run) -> dict:
+def root_cost(corisk, run) -> dict:
     """Cost of the quantile roots of one co-risk pass, replayed.
 
     Every batched_mixture_quantile call run() makes through corisk is
@@ -217,23 +224,22 @@ def root_cost(corisk, studentt, run) -> dict:
         run()
     finally:
         corisk.batched_mixture_quantile = real
-    special, counts = studentt.special, {"stdtr": 0, "sweeps": 0}
+    # Counted on the scipy.special module itself, so that both an import at
+    # module level and one inside the calling function see the counting stdtr.
+    import scipy.special
 
-    class Counting:
-        def __getattr__(self, name):
-            return getattr(special, name)
+    stdtr, counts = scipy.special.stdtr, {"stdtr": 0, "sweeps": 0}
 
-        @staticmethod
-        def stdtr(nu, z):
-            counts["stdtr"] += z.size
-            counts["sweeps"] += 1
-            return special.stdtr(nu, z)
+    def counting_stdtr(nu, z):
+        counts["stdtr"] += z.size
+        counts["sweeps"] += 1
+        return stdtr(nu, z)
 
-    studentt.special = Counting()
+    scipy.special.stdtr = counting_stdtr
     try:
         replay()
     finally:
-        studentt.special = special
+        scipy.special.stdtr = stdtr
     return {"quantile_root": min_block_ms(replay),
             **{f"quantile_root.{k}": v for k, v in counts.items()}}
 
@@ -244,7 +250,7 @@ def time_layers():
     import itertools
 
     start = time.perf_counter()
-    from msrisk import attribution, cli, corisk, markov, panel, simulate, studentt
+    from msrisk import attribution, cli, corisk, markov, panel, simulate
     import_s = time.perf_counter() - start
     import_maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
@@ -305,7 +311,7 @@ def time_layers():
             if key in ROOT_PASS:
                 module, function, kwargs = LAYERS[ROOT_PASS[key]]
                 fn = getattr(modules[module], function)
-                for name, value in root_cost(corisk, studentt, lambda: fn(fit, **kwargs)).items():
+                for name, value in root_cost(corisk, lambda: fn(fit, **kwargs)).items():
                     out[f"{name}@{key}"] = value
             if key in JSON_PANELS:
                 series = attribution.attribution_series(fit, measure="covar")
@@ -324,29 +330,54 @@ def time_layers():
     return out
 
 
-def chain_digests(checkout: Path) -> dict:
-    """sha256 of every file the CHAIN writes with the checkout's msrisk, keyed by path."""
+def run_chain(checkout: Path):
+    """Run the CHAIN with the checkout's msrisk, each command in a fresh process.
+
+    Returns the sha256 of every file it writes, keyed by path, and each
+    command's wall seconds, keyed by its --out directory.
+    """
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    seconds = {}
     with tempfile.TemporaryDirectory() as tmp:
         for argv in CHAIN:
+            start = time.perf_counter()
             subprocess.run([sys.executable, "-m", "msrisk.cli", *argv], cwd=tmp, env=env,
                            capture_output=True, check=True)
-        return {path.relative_to(tmp).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(Path(tmp).rglob("*")) if path.is_file()}
+            seconds[argv[-1]] = time.perf_counter() - start
+        digests = {path.relative_to(tmp).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(Path(tmp).rglob("*")) if path.is_file()}
+    return digests, seconds
 
 
 def compare_chain(sides) -> dict:
-    """Both sides' CHAIN output digests, with per-file and overall identical flags."""
-    digests = {side: chain_digests(path) for side, path in sides.items()}
+    """CHAIN_RUNS alternating runs of the CHAIN on both sides.
+
+    The first run's output digests, with per-file and overall identical
+    flags, and per command and side every run's wall seconds with their
+    median and quartiles.
+    """
+    digests, seconds = {}, {side: [] for side in sides}
+    for i in range(CHAIN_RUNS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            files, times = run_chain(sides[side])
+            digests.setdefault(side, files)
+            seconds[side].append(times)
     files = {
         name: {**{side: d.get(name) for side, d in digests.items()},
                "identical": len({d.get(name) for d in digests.values()}) == 1}
         for name in sorted(set().union(*digests.values()))
     }
+    process_s = {
+        argv[-1]: {side: {**quartiles([run[argv[-1]] for run in runs]),
+                          "runs": [run[argv[-1]] for run in runs]}
+                   for side, runs in seconds.items()}
+        for argv in CHAIN
+    }
     return {
         "commands": [["msrisk", *argv] for argv in CHAIN],
         "identical": all(f["identical"] for f in files.values()),
         "files": files,
+        "process_s": process_s,
     }
 
 
@@ -385,6 +416,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     print(f"chain outputs identical: {doc['chain']['identical']}", file=sys.stderr)
+    for command, stats in doc["chain"]["process_s"].items():
+        print(f"chain {command}: {stats['parent']['median']:.3f} -> "
+              f"{stats['change']['median']:.3f} s", file=sys.stderr)
     for workload in WORKLOADS:
         seeds = [(SEED, PAIRS), EXTRA[workload]] if workload in EXTRA else [(SEED, PAIRS)]
         for seed, n_pairs in seeds:
@@ -403,6 +437,8 @@ def main(argv=None) -> int:
                 "seed": seed,
                 "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
                 "summary": summarize(pairs, better),
+                "first_pass_s": {side: quartiles([p[side]["first_pass_s"] for p in pairs])
+                                 for side in sides},
                 "pairs": pairs,
             }
 
