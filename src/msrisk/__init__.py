@@ -8,7 +8,22 @@ across sectors with exact Shapley values.
 scipy.special is imported inside the functions that call it, never at
 module level: importing it costs about 0.3 s, which `import msrisk` and
 the commands that make no special-function call (simulate, stats) skip.
+
+Unless the caller set one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+OMP_NUM_THREADS, importing msrisk sets OPENBLAS_NUM_THREADS=1 before numpy
+loads: msrisk's BLAS calls, with at most 6 series on one side, are too
+small to gain from threads, yet numpy's OpenBLAS and the second copy that
+scipy.special loads would each start a worker pool (about 60 ms apiece).
+The setting reaches every OpenBLAS loaded after it, in this process and in
+its children; where numpy was imported first, numpy's pool is already
+running.
 """
+
+import os
+
+if not any(os.environ.get(name) for name in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .attribution import (
     AttributionSeries,

@@ -152,10 +152,13 @@ def cmd_stats(args) -> int:
 
 
 def _parse_range(text):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    return [int(text)]
+    lo, sep, hi = text.partition(":")
+    try:
+        return range(int(lo), int(hi) + 1) if sep else [int(text)]
+    except ValueError:
+        raise ValueError(
+            f"--L-range must be LO:HI or a single integer, got {text!r}"
+        ) from None
 
 
 def cmd_select(args) -> int:

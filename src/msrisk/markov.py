@@ -653,4 +653,8 @@ def save_model(path, model: MsTModel, **meta) -> None:
 
 def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"model file {path} is not valid JSON: {exc}") from exc
+    return model_from_dict(doc)

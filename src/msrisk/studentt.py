@@ -98,11 +98,13 @@ def _stacked_mahalanobis(x, mu, chol):
     The regimes come unvalidated: mu (L, k) and lower Cholesky factors chol
     (L, k, k).  Each regime whitens the deviations by W = chol^{-1}, taken
     for all regimes by one batched inverse of the k x k factors, and a plain
-    (N, k) matmul: a triangular solve on the N x k block wakes the OpenBLAS
-    worker threads, which then spin and double a fit's CPU time, and one
-    (L, N, k) matmul is slower than the loop over regimes.  W' is stored
-    C-contiguous, since the matmul with a transposed view of W runs about
-    20% slower at N = 8000, k = 3.
+    (N, k) matmul.  import msrisk leaves OpenBLAS one thread unless the
+    caller set a thread variable; under a caller's threaded OpenBLAS a
+    triangular solve on the N x k block would wake the worker threads, which
+    then spin and double a fit's CPU time, where the matmul stays on one
+    core.  One (L, N, k) matmul is slower than the loop over regimes.  W' is
+    stored C-contiguous, since the matmul with a transposed view of W runs
+    about 20% slower at N = 8000, k = 3.
     """
     maha = np.empty((len(mu), len(x)))
     whiten_t = np.linalg.inv(chol).transpose(0, 2, 1).copy()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from msrisk import MsTModel, MvtParams, load_csv
-from msrisk.cli import main
+from msrisk.cli import _parse_range, main
 from msrisk.markov import load_model, save_model
 
 
@@ -204,6 +204,24 @@ class TestFitAndSelect:
         )
 
 
+    @pytest.mark.parametrize("text", ["a:b", "2:3:4", ""])
+    def test_bad_L_range_names_the_flag(self, sim_dir, tmp_path, capsys, text):
+        code = main(
+            ["select", "--input", str(sim_dir / "panel.csv"), "--L-range", text,
+             "--restarts", "1", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --L-range must be LO:HI or a single integer, got {text!r}\n"
+        )
+        assert not (tmp_path / "selection.csv").exists()
+
+    @pytest.mark.parametrize("text, expected", [
+        ("2:6", range(2, 7)), ("3:3", range(3, 4)), ("3", [3]), (" 1 : 2", range(1, 3)),
+    ])
+    def test_L_range_forms(self, text, expected):
+        assert _parse_range(text) == expected
+
     def test_select_names_constant_series(self, sim_dir, tmp_path, capsys):
         rows = (sim_dir / "panel.csv").read_text().splitlines()
         flat = rows[:2] + [line.rsplit(",", 1)[0] + ",0.5" for line in rows[2:]]
@@ -254,6 +272,17 @@ class TestRisk:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "risk.csv").exists()
+
+    def test_model_that_is_not_json_is_named(self, sim_dir, tmp_path, capsys):
+        panel_path = str(sim_dir / "panel.csv")
+        code = main(["risk", "--input", panel_path, "--model", panel_path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: model file {panel_path} is not valid JSON: "
+            "Expecting value: line 1 column 1 (char 0)\n"
+        )
         assert not (tmp_path / "out" / "risk.csv").exists()
 
     @pytest.mark.parametrize("edit, message", [
@@ -523,6 +552,49 @@ def test_simulate_and_stats_leave_scipy_unloaded(tmp_path):
     assert (tmp_path / "risk" / "risk.csv").read_bytes() == (
         tmp_path / "in_process" / "risk.csv"
     ).read_bytes()
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}])
+def test_import_starts_no_blas_threads(preset):
+    # A fresh interpreter, since the test suite's numpy is loaded already:
+    # with no thread variable set, import msrisk sets OPENBLAS_NUM_THREADS=1
+    # before numpy loads, so neither numpy's OpenBLAS nor the copy that
+    # scipy.special loads starts a worker pool; a caller's setting stays.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(preset)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = """if True:
+        import json, os
+
+        def threads():
+            try:
+                return len(os.listdir("/proc/self/task"))
+            except FileNotFoundError:
+                return None
+
+        before = dict(os.environ)
+        import msrisk.cli
+        report = {"before": before, "after": dict(os.environ), "import": threads()}
+        from scipy import special
+        report["special"] = threads()
+        print(json.dumps(report))
+    """
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    report = json.loads(result.stdout.strip().splitlines()[-1])
+    if preset:
+        assert report["after"] == report["before"]
+        assert ("OPENBLAS_NUM_THREADS" in report["after"]) == ("OPENBLAS_NUM_THREADS" in preset)
+        return
+    assert report["after"] == {**report["before"], "OPENBLAS_NUM_THREADS": "1"}
+    for stage in ("import", "special"):
+        assert report[stage] in (1, None), stage
 
 
 # Public functions that have no docstring, and the private functions that

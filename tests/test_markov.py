@@ -858,6 +858,18 @@ class TestSerialization:
         assert meta["labels"] == ["x", "y"]
         assert meta["loglik"] == -12.5 and meta["T"] == 100
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"date,a\n2000-01-07,0.1\n", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\x1f\x8b\x08\x00", "'utf-8' codec can't decode byte 0x8b in position 1: "
+                              "invalid start byte"),
+    ])
+    def test_load_model_names_a_file_that_is_not_json(self, tmp_path, content, reason):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"model file {path} is not valid JSON: {reason}"
+
     def test_dict_schema_fields(self):
         rng = np.random.default_rng(33)
         model = random_model(rng, 2, 3)

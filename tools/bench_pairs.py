@@ -29,16 +29,24 @@ on the risk, shapley and chain panels replayed (minimum over BLOCKS blocks,
 with the special.stdtr values and calls, i.e. root sweeps, of one replay,
 counted on the scipy.special module) and the write_attribution_json of the
 JSON_PANELS attributions (minimum over BLOCKS blocks).  Each interpreter
-also records the seconds its first msrisk import took and its peak resident
-set (ru_maxrss) right after that import.  Per timer it records every run
+also records the seconds its first msrisk import took, its peak resident
+set (ru_maxrss) right after that import, and its native thread count (the
+entries of /proc/self/task, None where that is absent) right after the
+import and again after the first special-function call (studentt.t_cdf),
+which loads scipy's own OpenBLAS.  Per timer it records every run
 and, per side, the best and the median of the runs.  Before any timing it
 runs the CHAIN of msrisk commands CHAIN_RUNS times per checkout,
 alternating which side goes first, each run in a fresh directory and each
 command in a fresh process.  It records every output file's sha256 of the
 first run on both sides, with a per-file and an overall `identical` flag,
-and per command and side the process wall seconds of every run, with their
+and per command and side the process wall seconds and the child's CPU
+seconds (user + system, from RUSAGE_CHILDREN) of every run, with their
 median and quartiles.  Each side's source is recorded by the sha256 and the
 line count of its src/msrisk/*.py.
+
+This script's own process never imports msrisk: `import msrisk` sets
+OPENBLAS_NUM_THREADS in os.environ when no thread variable is set, and the
+parent side's subprocesses would inherit it.
 """
 
 from __future__ import annotations
@@ -244,15 +252,26 @@ def root_cost(corisk, run) -> dict:
             **{f"quantile_root.{k}": v for k, v in counts.items()}}
 
 
+def native_threads():
+    """Threads of this process, or None where /proc/self/task is absent."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except FileNotFoundError:
+        return None
+
+
 def time_layers():
     """Timers (ms) and EM iteration counts of one interpreter, keyed name@input."""
     import contextlib
     import itertools
 
     start = time.perf_counter()
-    from msrisk import attribution, cli, corisk, markov, panel, simulate
+    from msrisk import attribution, cli, corisk, markov, panel, simulate, studentt
     import_s = time.perf_counter() - start
     import_maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    import_threads = native_threads()
+    studentt.t_cdf(0.0, 5.0)
+    special_threads = native_threads()
 
     modules = {"corisk": corisk, "attribution": attribution}
     iterations = []
@@ -273,7 +292,8 @@ def time_layers():
             markov.em_fit = real_em_fit
         return min_call_ms(fn), sum(iterations)
 
-    out = {"import_s": import_s, "import_maxrss_mb": import_maxrss_mb}
+    out = {"import_s": import_s, "import_maxrss_mb": import_maxrss_mb,
+           "threads.import": import_threads, "threads.special": special_threads}
     with tempfile.TemporaryDirectory() as tmp:
         for key, argv in INPUTS.items():
             with contextlib.redirect_stdout(sys.stderr):
@@ -334,50 +354,60 @@ def run_chain(checkout: Path):
     """Run the CHAIN with the checkout's msrisk, each command in a fresh process.
 
     Returns the sha256 of every file it writes, keyed by path, and each
-    command's wall seconds, keyed by its --out directory.
+    command's wall seconds and CPU seconds, keyed by its --out directory.
     """
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    seconds = {}
+    seconds, cpu_seconds = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for argv in CHAIN:
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
             start = time.perf_counter()
             subprocess.run([sys.executable, "-m", "msrisk.cli", *argv], cwd=tmp, env=env,
                            capture_output=True, check=True)
             seconds[argv[-1]] = time.perf_counter() - start
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpu_seconds[argv[-1]] = (after.ru_utime + after.ru_stime
+                                     - before.ru_utime - before.ru_stime)
         digests = {path.relative_to(tmp).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in sorted(Path(tmp).rglob("*")) if path.is_file()}
-    return digests, seconds
+    return digests, seconds, cpu_seconds
 
 
 def compare_chain(sides) -> dict:
     """CHAIN_RUNS alternating runs of the CHAIN on both sides.
 
     The first run's output digests, with per-file and overall identical
-    flags, and per command and side every run's wall seconds with their
-    median and quartiles.
+    flags, and per command and side every run's wall seconds and CPU
+    seconds with their median and quartiles.
     """
-    digests, seconds = {}, {side: [] for side in sides}
+    digests = {}
+    seconds, cpu_seconds = {side: [] for side in sides}, {side: [] for side in sides}
     for i in range(CHAIN_RUNS):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            files, times = run_chain(sides[side])
+            files, times, cpu_times = run_chain(sides[side])
             digests.setdefault(side, files)
             seconds[side].append(times)
+            cpu_seconds[side].append(cpu_times)
     files = {
         name: {**{side: d.get(name) for side, d in digests.items()},
                "identical": len({d.get(name) for d in digests.values()}) == 1}
         for name in sorted(set().union(*digests.values()))
     }
-    process_s = {
-        argv[-1]: {side: {**quartiles([run[argv[-1]] for run in runs]),
-                          "runs": [run[argv[-1]] for run in runs]}
-                   for side, runs in seconds.items()}
-        for argv in CHAIN
-    }
+
+    def per_command(by_side):
+        return {
+            argv[-1]: {side: {**quartiles([run[argv[-1]] for run in runs]),
+                              "runs": [run[argv[-1]] for run in runs]}
+                       for side, runs in by_side.items()}
+            for argv in CHAIN
+        }
+
     return {
         "commands": [["msrisk", *argv] for argv in CHAIN],
         "identical": all(f["identical"] for f in files.values()),
         "files": files,
-        "process_s": process_s,
+        "process_s": per_command(seconds),
+        "process_cpu_s": per_command(cpu_seconds),
     }
 
 
@@ -417,8 +447,10 @@ def main(argv=None) -> int:
     }
     print(f"chain outputs identical: {doc['chain']['identical']}", file=sys.stderr)
     for command, stats in doc["chain"]["process_s"].items():
+        cpu = doc["chain"]["process_cpu_s"][command]
         print(f"chain {command}: {stats['parent']['median']:.3f} -> "
-              f"{stats['change']['median']:.3f} s", file=sys.stderr)
+              f"{stats['change']['median']:.3f} s wall, {cpu['parent']['median']:.3f} -> "
+              f"{cpu['change']['median']:.3f} s CPU", file=sys.stderr)
     for workload in WORKLOADS:
         seeds = [(SEED, PAIRS), EXTRA[workload]] if workload in EXTRA else [(SEED, PAIRS)]
         for seed, n_pairs in seeds:
@@ -452,7 +484,9 @@ def main(argv=None) -> int:
                 "per side in alternating order; *.iterations are EM iteration counts; "
                 "quantile_root.stdtr and .sweeps are counts; "
                 "import_s (seconds) and import_maxrss_mb (MB) are the interpreter's first "
-                "msrisk import and its ru_maxrss right after it; name@input",
+                "msrisk import and its ru_maxrss right after it; threads.import and "
+                "threads.special are its native threads right after that import and after "
+                "its first special-function call; name@input",
         "inputs": {key: ["msrisk", "simulate", *argv] for key, argv in INPUTS.items()},
         "layers": {
             **{name: f"msrisk.{m}.{f}(fit, **{kw})" for name, (m, f, kw) in LAYERS.items()},
@@ -475,8 +509,9 @@ def main(argv=None) -> int:
         "runs": runs,
         **{
             side: {
-                "best": {k: min(r[k] for r in rs) for k in rs[0]},
-                "median": {k: statistics.median(r[k] for r in rs) for k in rs[0]},
+                "best": {k: min(r[k] for r in rs) for k in rs[0] if rs[0][k] is not None},
+                "median": {k: statistics.median(r[k] for r in rs)
+                           for k in rs[0] if rs[0][k] is not None},
             }
             for side, rs in runs.items()
         },
