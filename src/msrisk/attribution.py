@@ -17,7 +17,7 @@ import numpy as np
 from .corisk import CoRiskEngine, coalition_masks
 from .markov import FitResult
 from .panel import SCHEMA, _write_blocks
-from .predictive import PredictiveMixture, build_predictive
+from .predictive import PredictiveMixture
 
 MAX_PLAYERS = 20
 
@@ -130,14 +130,6 @@ def characteristic_values(mix: PredictiveMixture, target: int, measure: str = "c
         for row, v in zip(coalition_masks(len(players)), delta)
     }
     return CharacteristicMap(target=target, players=players, values=values)
-
-
-def characteristic_values_at(fit: FitResult, t: int, target: int, measure: str = "covar",
-                             tau1: float = 0.05, tau2: float = 0.05, *, h: int = 1,
-                             probs: str = "filtered") -> CharacteristicMap:
-    """Characteristic map on the h-step predictive mixture at time t."""
-    mix = build_predictive(fit, t, h=h, probs=probs)
-    return characteristic_values(mix, target, measure, tau1, tau2)
 
 
 @dataclass

@@ -109,10 +109,10 @@ def _with_config(argv):
     path = _CONFIG_PARSER.parse_known_args(argv)[0].config
     if not path:
         return argv
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             entries = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(entries, dict):
         raise ValueError(f"config file {path} must hold a JSON object")

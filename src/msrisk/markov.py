@@ -21,6 +21,7 @@ to-state, i.e. transition[i, j] = P(S_t = j | S_{t-1} = i).
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -331,11 +332,13 @@ def _block_moments(y, members, p):
     return mu, 0.5 * (sigma + sigma.T)
 
 
-def _uniformish_transition(L, diag=0.9):
+def _uniformish_transition(L):
+    """Start transition matrix: stay with probability 0.9, else move uniformly."""
     if L == 1:
         return np.array([[1.0]])
-    q = np.full((L, L), (1.0 - diag) / (L - 1))
-    np.fill_diagonal(q, diag)
+    stay = 0.9
+    q = np.full((L, L), (1.0 - stay) / (L - 1))
+    np.fill_diagonal(q, stay)
     return q
 
 
@@ -459,16 +462,12 @@ def _relabel(params, smoothed, filtered):
     return model, smoothed[:, order], filtered[:, order]
 
 
-def _fit_observations(panel, L, tol, max_iter) -> np.ndarray:
+def _fit_observations(panel, L) -> np.ndarray:
     """T x p observations of a panel to fit with L states, after the checks all starts share."""
     y = _observations(panel)
     t_len, p = y.shape
     if L < 1:
         raise ValueError("L must be >= 1")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
     if t_len < 10 * p:
         raise ValueError(f"fitting guard: T={t_len} < 10 p={10 * p}")
     # each regime's M-step needs p + 2 observations of posterior mass
@@ -498,7 +497,11 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
     can cause, raises LikelihoodDecreaseError; iteration stops when the
     relative change drops below tol.
     """
-    y = _fit_observations(panel, L, tol, max_iter)
+    y = _fit_observations(panel, L)
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     params = _initial_params(y, L, init, seed)
     path, prev, converged, iterations = [], -np.inf, False, 0
     for it in range(max_iter):
@@ -528,25 +531,27 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
     )
 
 
-def fit_restarts(panel, L, n_restarts=1, seed=0, *, tol=1e-8, max_iter=2000) -> FitResult:
+def fit_restarts(panel, L, n_restarts=1, seed=0) -> FitResult:
     """Best-of-n estimation across deterministic-seeded initializations.
 
-    The first start is the deterministic PCA-block initialization; later
-    starts use seeded nearest-center assignments.  Arguments are checked
-    before any start runs, and T <= k (free parameters) warns once.  Starts
-    that collapse, whose log-likelihood decreases or that fail numerically
-    are skipped; if every start fails, a RuntimeError names the last error.
+    Each start is one em_fit at its default tolerance and iteration cap.
+    The first start is the deterministic PCA-block initialization; start
+    r = 1, 2, ... uses seeded nearest-center assignments with seed + r.
+    Arguments are checked before any start runs, and T <= k (free
+    parameters) warns once.  Starts that collapse, whose log-likelihood
+    decreases or that fail numerically are skipped; if every start fails,
+    a RuntimeError names the last error.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    t_len, p = _fit_observations(panel, L, tol, max_iter).shape
+    t_len, p = _fit_observations(panel, L).shape
     _warn_small_sample(param_count(L, p), t_len)
     best = None
     last_error = None
     for r in range(n_restarts):
         init = "pca" if r == 0 else "random"
         try:
-            fit = em_fit(panel, L, init=init, seed=seed + r, tol=tol, max_iter=max_iter)
+            fit = em_fit(panel, L, init=init, seed=seed + r)
         except (RegimeCollapseError, LikelihoodDecreaseError, np.linalg.LinAlgError) as exc:
             last_error = exc
             continue
@@ -557,11 +562,11 @@ def fit_restarts(panel, L, n_restarts=1, seed=0, *, tol=1e-8, max_iter=2000) -> 
     return best
 
 
-def select_L(panel, L_range, criterion="aic", *, n_restarts=3, seed=0, tol=1e-8,
-             max_iter=2000) -> SelectionTable:
+def select_L(panel, L_range, criterion="aic", *, n_restarts=3, seed=0) -> SelectionTable:
     """Fit each candidate state count and pick the criterion minimizer.
 
-    The data and every candidate are checked once, before the sweep; fit
+    Each candidate is one fit_restarts(panel, L, n_restarts, seed).  The
+    data and every candidate are checked once, before the sweep; fit
     failures are recorded per row and excluded from the choice.
     """
     L_range = list(L_range)
@@ -570,14 +575,12 @@ def select_L(panel, L_range, criterion="aic", *, n_restarts=3, seed=0, tol=1e-8,
     if criterion not in ("aic", "bic"):
         raise ValueError("criterion must be 'aic' or 'bic'")
     for L in (min(L_range), max(L_range)):
-        t_len, p = _fit_observations(panel, L, tol, max_iter).shape
+        t_len, p = _fit_observations(panel, L).shape
     rows = []
     for L in L_range:
         k = param_count(L, p)
         try:
-            fit = fit_restarts(
-                panel, L, n_restarts=n_restarts, seed=seed, tol=tol, max_iter=max_iter
-            )
+            fit = fit_restarts(panel, L, n_restarts=n_restarts, seed=seed)
         except RuntimeError as exc:
             rows.append(SelectionRow(L, np.nan, k, np.nan, np.nan, error=str(exc)))
             continue
@@ -614,13 +617,27 @@ def model_to_dict(model: MsTModel, *, labels=None, loglik=None, t_len=None) -> d
     }
 
 
+def _numbers(value, shape, name):
+    """A model entry as a float array of the given shape, else a ValueError naming it."""
+    size = int(np.prod(shape))
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a list of {size} numbers") from None
+    if array.size != size:
+        raise ValueError(f"{name} must hold {size} numbers, got {array.size}")
+    return array.reshape(shape)
+
+
 def model_from_dict(doc: dict):
     """Inverse of model_to_dict; returns (model, metadata dict).
 
     A document that is not an object, carries another schema, lacks one of
     L, p, regimes, Q and delta, has an L or p that is not a positive
-    integer, lists other than L regimes or holds a regime without mu,
-    sigma and nu is a ValueError naming what is wrong.
+    integer, lists other than L regimes, holds a regime without mu, sigma
+    and nu or with a nu that is not a finite number, or has a mu, sigma,
+    Q or delta that is not p, p x p, L x L or L numbers is a ValueError
+    naming what is wrong.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a model file must hold a JSON object, not {type(doc).__name__}")
@@ -634,14 +651,18 @@ def model_from_dict(doc: dict):
         raise ValueError(f"model 'L' and 'p' must be positive integers, got {L!r} and {p!r}")
     if not isinstance(doc["regimes"], list) or len(doc["regimes"]) != L:
         raise ValueError(f"model 'regimes' must list L={L} regimes")
+    regimes = []
     for l, r in enumerate(doc["regimes"]):
         if not isinstance(r, dict) or not {"mu", "sigma", "nu"} <= r.keys():
             raise ValueError(f"model regime {l} must be an object with mu, sigma and nu")
-    regimes = [
-        MvtParams(np.array(r["mu"]), np.array(r["sigma"]).reshape(p, p), r["nu"])
-        for r in doc["regimes"]
-    ]
-    model = MsTModel(regimes, np.array(doc["Q"]).reshape(L, L), np.array(doc["delta"]))
+        nu = r["nu"]
+        if type(nu) not in (int, float) or not abs(nu) <= sys.float_info.max:
+            raise ValueError(f"model regime {l} 'nu' must be a finite number, got {nu!r}")
+        regimes.append(MvtParams(_numbers(r["mu"], (p,), f"model regime {l} 'mu'"),
+                                 _numbers(r["sigma"], (p, p), f"model regime {l} 'sigma'"),
+                                 nu))
+    model = MsTModel(regimes, _numbers(doc["Q"], (L, L), "model 'Q'"),
+                     _numbers(doc["delta"], (L,), "model 'delta'"))
     meta = {k: doc.get(k) for k in ("labels", "loglik", "k", "T", "schema")}
     return model, meta
 
@@ -652,7 +673,7 @@ def save_model(path, model: MsTModel, **meta) -> None:
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -222,22 +222,25 @@ def load_csv(path) -> ReturnPanel:
     a line the csv module rejects, such as one with a cell over its field
     size limit, is an error naming that line of the file.
 
-    The file is read once.  The header row is parsed with csv, so quoted
-    names work; the data lines are parsed in one np.loadtxt call, with one
-    date.fromisoformat per row.  Where that parse cannot give csv.reader's
-    cells or float()'s values, and on any error, the rows go through the
-    csv.reader loop of one float() per cell instead, so the result, or the
-    ragged-row or unparseable-rows error, is always that loop's: cells such
-    as ``1_000`` or non-ASCII digits, which float() reads and loadtxt does
-    not, still load.
+    The file is UTF-8 text, with or without a byte-order mark; one that does
+    not decode is an error naming it.  The file is read once.  The header
+    row is parsed with csv, so quoted names work; the data lines are parsed
+    in one np.loadtxt call, with one date.fromisoformat per row.  Where
+    that parse cannot give csv.reader's cells or float()'s values, and on
+    any error, the rows go through the csv.reader loop of one float() per
+    cell instead, so the result, or the ragged-row or unparseable-rows
+    error, is always that loop's: cells such as ``1_000`` or non-ASCII
+    digits, which float() reads and loadtxt does not, still load.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next((r for r in reader if r and not _is_comment(r)), None)
+            body = fh.read()
         except csv.Error as exc:
             raise PanelError(f"{path}: line {reader.line_num}: {exc}") from None
-        body = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PanelError(f"{path}: not UTF-8 text: {exc}") from None
     if header is None:
         raise PanelError(f"{path}: empty file")
     header = [h.strip() for h in header]

@@ -152,16 +152,16 @@ def _mixture_density_on_grid(params, cond_idx, cond_values, target, grid):
     return dens
 
 
-def grid_conditional_quantile(params, cond_idx, cond_values, tau, *,
-                              n_nodes: int = 20001) -> float:
+def grid_conditional_quantile(params, cond_idx, cond_values, tau) -> float:
     """Conditional quantile by grid slicing of the joint density.
 
     Independent oracle for the conditional-t plus mixture-quantile path:
     evaluates the joint density along the single free coordinate with the
     conditioning coordinates fixed, normalizes by trapezoid integration,
-    and inverts the resulting CDF at tau.  The grid covers +-60 marginal
-    scales around the density peak and widens (up to 3 times) when the
-    power-law tail estimate says more than 1e-6 of mass lies outside.
+    and inverts the resulting CDF at tau.  The grid of 20001 nodes covers
+    +-60 marginal scales around the density peak and widens (up to 3
+    times) when the power-law tail estimate says more than 1e-6 of mass
+    lies outside.
 
     params is either a single MvtParams or a (weights, [MvtParams, ...])
     mixture; exactly one coordinate must remain unconditioned.
@@ -190,7 +190,7 @@ def grid_conditional_quantile(params, cond_idx, cond_values, tau, *,
 
     half = 60.0 * scale
     for _ in range(4):
-        grid = np.linspace(center - half, center + half, n_nodes)
+        grid = np.linspace(center - half, center + half, 20001)
         dens = _mixture_density_on_grid(params, cond_idx, cond_values, i, grid)
         dx = grid[1] - grid[0]
         total = np.trapezoid(dens, grid)

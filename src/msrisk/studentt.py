@@ -433,6 +433,9 @@ def mixture_es(weights, comps, tau) -> float:
     below it is exactly tau.  Every component nu must exceed 1, which is
     checked before that quantile is solved.
     """
-    _check_es_nu(_mixture_arrays(weights, comps)[3])
-    q = mixture_quantile(weights, comps, tau)
-    return mixture_truncated_mean(weights, comps, q)
+    w, mus, sigmas, nus = _mixture_arrays(weights, comps)
+    _check_es_nu(nus)
+    if not 0.0 < tau < 1.0:
+        raise ValueError("tau must lie strictly in (0, 1)")
+    q = batched_mixture_quantile(w, mus, sigmas, nus, tau)
+    return float(batched_mixture_truncated_mean(w, mus, sigmas, nus, q))

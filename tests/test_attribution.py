@@ -16,11 +16,7 @@ from msrisk import (
     shapley,
     vis_a_vis,
 )
-from msrisk.attribution import (
-    characteristic_values_at,
-    write_attribution_csv,
-    write_attribution_json,
-)
+from msrisk.attribution import write_attribution_csv, write_attribution_json
 from msrisk.corisk import RiskQuery
 from msrisk.predictive import build_predictive
 from msrisk.simulate import SimSpec
@@ -171,7 +167,7 @@ class TestAttributionSeries:
     def test_consistency_with_map_at_t(self):
         fit, _ = small_fit(p=3)
         series = attribution_series(fit, measure="coes")
-        report = shapley(characteristic_values_at(fit, 4, 1, measure="coes"))
+        report = shapley(characteristic_values(build_predictive(fit, 4), 1, measure="coes"))
         for j in (0, 2):
             assert abs(series.shares[(1, j)][4] - report.shares[j]) < 1e-12
 

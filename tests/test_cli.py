@@ -1,4 +1,5 @@
 import csv
+import gzip
 import importlib
 import inspect
 import json
@@ -117,6 +118,21 @@ class TestStats:
     def test_missing_input_flag(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["stats", "--out", str(tmp_path)])
+
+    def test_undecodable_input_is_named(self, sim_dir, tmp_path, capsys):
+        packed = tmp_path / "panel.csv.gz"
+        packed.write_bytes(gzip.compress((sim_dir / "panel.csv").read_bytes()))
+        code = main(["stats", "--input", str(packed), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {packed}: not UTF-8 text: ")
+
+    def test_byte_order_mark_is_skipped(self, sim_dir, tmp_path):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (sim_dir / "panel.csv").read_bytes())
+        for name, path in (("plain", sim_dir / "panel.csv"), ("bom", marked)):
+            assert main(["stats", "--input", str(path), "--out", str(tmp_path / name)]) == 0
+        summary = [(tmp_path / name / "summary.csv").read_bytes() for name in ("plain", "bom")]
+        assert summary[0] == summary[1]
 
 
 def json_numbers(node):
@@ -274,6 +290,15 @@ class TestRisk:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "risk.csv").exists()
 
+    def test_byte_order_mark_model_loads(self, sim_dir, tmp_path):
+        marked = tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + (sim_dir / "truth_model.json").read_bytes())
+        for name, model in (("plain", sim_dir / "truth_model.json"), ("bom", marked)):
+            assert main(["risk", "--input", str(sim_dir / "panel.csv"), "--model", str(model),
+                         "--out", str(tmp_path / name)]) == 0
+        risk = [(tmp_path / name / "risk.csv").read_bytes() for name in ("plain", "bom")]
+        assert risk[0] == risk[1]
+
     def test_model_that_is_not_json_is_named(self, sim_dir, tmp_path, capsys):
         panel_path = str(sim_dir / "panel.csv")
         code = main(["risk", "--input", panel_path, "--model", panel_path,
@@ -302,8 +327,29 @@ class TestRisk:
          "model 'regimes' must list L=2 regimes"),
         (lambda doc: {**doc, "regimes": [doc["regimes"][0], {"mu": [0.0, 0.0]}]},
          "model regime 1 must be an object with mu, sigma and nu"),
+        (lambda doc: {**doc, "regimes": [doc["regimes"][0], {**doc["regimes"][1], "nu": None}]},
+         "model regime 1 'nu' must be a finite number, got None"),
+        (lambda doc: {**doc, "regimes": [{**doc["regimes"][0], "nu": [5.0]}, doc["regimes"][1]]},
+         "model regime 0 'nu' must be a finite number, got [5.0]"),
+        (lambda doc: {**doc, "regimes": [{**doc["regimes"][0], "nu": 10**400},
+                                         doc["regimes"][1]]},
+         f"model regime 0 'nu' must be a finite number, got {10**400}"),
+        (lambda doc: {**doc, "regimes": [{**doc["regimes"][0], "mu": "ab"}, doc["regimes"][1]]},
+         "model regime 0 'mu' must be a list of 2 numbers"),
+        (lambda doc: {**doc, "regimes": [{**doc["regimes"][0], "mu": [0.0] * 3},
+                                         doc["regimes"][1]]},
+         "model regime 0 'mu' must hold 2 numbers, got 3"),
+        (lambda doc: {**doc, "regimes": [doc["regimes"][0], {**doc["regimes"][1],
+                                                             "sigma": [1.0, 0.0, 1.0]}]},
+         "model regime 1 'sigma' must hold 4 numbers, got 3"),
+        (lambda doc: {**doc, "Q": [1.0]}, "model 'Q' must hold 4 numbers, got 1"),
+        (lambda doc: {**doc, "Q": [10**400, 0.0, 0.0, 1.0]},
+         "model 'Q' must be a list of 4 numbers"),
+        (lambda doc: {**doc, "delta": [1.0]}, "model 'delta' must hold 2 numbers, got 1"),
     ], ids=["list", "empty", "schema", "no-L", "no-p", "no-regimes", "no-Q", "no-delta",
-            "float-L", "text-p", "short-regimes", "regimes-object", "regime-fields"])
+            "float-L", "text-p", "short-regimes", "regimes-object", "regime-fields",
+            "null-nu", "list-nu", "huge-nu", "text-mu", "long-mu", "short-sigma",
+            "short-Q", "huge-Q", "short-delta"])
     def test_malformed_model_is_an_error(self, sim_dir, tmp_path, capsys, edit, message):
         doc = json.loads((sim_dir / "truth_model.json").read_text())
         bad = tmp_path / "model.json"
@@ -458,6 +504,15 @@ class TestConfig:
         )
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: ") and message in err
+
+    def test_undecodable_config_is_named(self, sim_dir, tmp_path, capsys):
+        config = tmp_path / "config.json.gz"
+        config.write_bytes(gzip.compress(b'{"alpha": 0.1}'))
+        code = main(["stats", "--config", str(config),
+                     "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: config file {config} is not valid JSON: 'utf-8' codec can't decode")
 
     def test_unknown_key_named(self, sim_dir, tmp_path, capsys):
         config = tmp_path / "config.json"

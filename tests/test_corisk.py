@@ -28,7 +28,6 @@ from msrisk.attribution import (
     _shapley_shares,
     attribution_series,
     characteristic_values,
-    characteristic_values_at,
     vis_a_vis,
 )
 from msrisk.corisk import (
@@ -848,7 +847,6 @@ MEASURE_ENTRY_POINTS = {
     "standard_pairwise_delta": lambda fit, fit2: standard_pairwise_delta(fit2, 0, "var"),
     "characteristic_values": lambda fit, fit2: characteristic_values(
         build_predictive(fit, 3), 0, "var"),
-    "characteristic_values_at": lambda fit, fit2: characteristic_values_at(fit, 3, 0, "var"),
     "attribution_series": lambda fit, fit2: attribution_series(fit, measure="var"),
     "vis_a_vis": lambda fit, fit2: vis_a_vis(fit, (0, 1), measure="var"),
 }

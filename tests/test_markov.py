@@ -697,8 +697,6 @@ class TestFitRestarts:
         panel = simulated_panel(300, seed=108)
         with pytest.raises(ValueError, match="^L must be >= 1$"):
             fit_restarts(panel, 0, n_restarts=3)
-        with pytest.raises(ValueError, match="^tol must be positive$"):
-            fit_restarts(panel, 2, n_restarts=3, tol=0.0)
         with pytest.raises(ValueError, match="^fitting guard: T=20 < 10 p=30$"):
             fit_restarts(simulated_panel(20, seed=108), 2, n_restarts=3)
         assert starts == []
@@ -708,11 +706,10 @@ class TestFitRestarts:
             fit_restarts(simulated_panel(300, seed=108), 2, n_restarts=0)
 
 
-# Every EM entry point that takes tol and max_iter, called with two states.
+# Every EM entry point that takes tol and max_iter, called with two states;
+# fit_restarts and select_L run each start at em_fit's defaults.
 FIT_ENTRY_POINTS = {
     "em_fit": lambda panel, **kw: em_fit(panel, 2, **kw),
-    "fit_restarts": lambda panel, **kw: fit_restarts(panel, 2, n_restarts=2, **kw),
-    "select_L": lambda panel, **kw: select_L(panel, [1, 2], n_restarts=1, **kw),
 }
 
 

@@ -572,6 +572,15 @@ class TestMixtureEs:
         with pytest.raises(ValueError):
             mixture_es([1.0], [(0.0, 1.0, 0.9)], 0.05)
 
+    def test_mixture_checked_once(self, monkeypatch):
+        w, comps, tau = [0.3, 0.7], [(-0.5, 1.0, 4.0), (0.3, 0.7, 9.0)], 0.05
+        composed = mixture_truncated_mean(w, comps, mixture_quantile(w, comps, tau))
+        calls, real = [], studentt._mixture_arrays
+        monkeypatch.setattr(studentt, "_mixture_arrays",
+                            lambda *args: calls.append(args) or real(*args))
+        assert mixture_es(w, comps, tau) == composed
+        assert len(calls) == 1
+
     def test_truncated_mean_no_mass(self):
         with pytest.raises(ValueError):
             mixture_truncated_mean([1.0], [(0.0, 1.0, 5.0)], -1e80)
