@@ -13,7 +13,6 @@ from msrisk import (
     MvtParams,
     attribution_series,
     fit_restarts,
-    marginalize_fit,
     sample_path,
     standard_pairwise_delta,
     vis_a_vis,

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import attribution, corisk, markov, panel, simulate
-from .panel import _write_blocks, _write_csv
+from .panel import _read_json, _write_blocks, _write_csv
 from .studentt import MvtParams
 
 
@@ -35,6 +34,23 @@ def _add_input(sub):
         "--prices", action="store_true",
         help="input holds prices; convert to log-returns",
     )
+
+
+def _add_corisk(sub, measures, measure):
+    """The input options plus the model and the co-risk query, for risk and shapley."""
+    _add_input(sub)
+    sub.add_argument("--model", required=True, help="fitted model JSON")
+    sub.add_argument("--tau1", type=float, default=0.05)
+    sub.add_argument("--tau2", type=float, default=0.05)
+    sub.add_argument("--horizon", type=int, default=1)
+    sub.add_argument("--measure", choices=measures, default=measure)
+    sub.add_argument("--probs", choices=("filtered", "smoothed"), default="filtered")
+
+
+def _corisk_query(args) -> dict:
+    """The co-risk keywords (measure, tau1, tau2, h, probs) of parsed risk or shapley flags."""
+    return dict(measure=args.measure, tau1=args.tau1, tau2=args.tau2, h=args.horizon,
+                probs=args.probs)
 
 
 def _build_parser():
@@ -62,22 +78,10 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("risk", help="total-risk series from a fitted model")
-    _add_input(p)
-    p.add_argument("--model", required=True, help="fitted model JSON")
-    p.add_argument("--tau1", type=float, default=0.05)
-    p.add_argument("--tau2", type=float, default=0.05)
-    p.add_argument("--horizon", type=int, default=1)
-    p.add_argument("--measure", choices=("covar", "coes", "both"), default="both")
-    p.add_argument("--probs", choices=("filtered", "smoothed"), default="filtered")
+    _add_corisk(p, ("covar", "coes", "both"), "both")
 
     p = sub.add_parser("shapley", help="Shapley attribution series")
-    _add_input(p)
-    p.add_argument("--model", required=True, help="fitted model JSON")
-    p.add_argument("--tau1", type=float, default=0.05)
-    p.add_argument("--tau2", type=float, default=0.05)
-    p.add_argument("--horizon", type=int, default=1)
-    p.add_argument("--measure", choices=("covar", "coes"), default="covar")
-    p.add_argument("--probs", choices=("filtered", "smoothed"), default="filtered")
+    _add_corisk(p, ("covar", "coes"), "covar")
     p.add_argument(
         "--compare-standard", action="store_true",
         help="also emit bivariate standard Delta series per pair",
@@ -109,11 +113,7 @@ def _with_config(argv):
     path = _CONFIG_PARSER.parse_known_args(argv)[0].config
     if not path:
         return argv
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            entries = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+    entries = _read_json(path, "config")
     if not isinstance(entries, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     flags = [
@@ -204,10 +204,7 @@ def _fit_from_model_file(args, data):
 def cmd_risk(args) -> int:
     data = _load_panel(args)
     fit = _fit_from_model_file(args, data)
-    series = corisk.total_risk_series(
-        fit, measure=args.measure, tau1=args.tau1, tau2=args.tau2,
-        h=args.horizon, probs=args.probs,
-    )
+    series = corisk.total_risk_series(fit, **_corisk_query(args))
     out = _outdir(args) / "risk.csv"
     corisk.write_risk_csv(out, data.dates, data.names, series)
     print(f"wrote {out}")
@@ -217,10 +214,8 @@ def cmd_risk(args) -> int:
 def cmd_shapley(args) -> int:
     data = _load_panel(args)
     fit = _fit_from_model_file(args, data)
-    series = attribution.attribution_series(
-        fit, measure=args.measure, tau1=args.tau1, tau2=args.tau2,
-        h=args.horizon, probs=args.probs,
-    )
+    query = _corisk_query(args)
+    series = attribution.attribution_series(fit, **query)
     outdir = _outdir(args)
     csv_path = outdir / "attribution.csv"
     attribution.write_attribution_csv(csv_path, data.dates, data.names, series)
@@ -237,11 +232,7 @@ def cmd_shapley(args) -> int:
                 n_restarts=3, seed=args.seed,
             )
             for target, pair in enumerate(((i, j), (j, i))):
-                deltas[pair] = corisk.standard_pairwise_delta(
-                    pair_fit, target, measure=args.measure,
-                    tau1=args.tau1, tau2=args.tau2,
-                    h=args.horizon, probs=args.probs,
-                )
+                deltas[pair] = corisk.standard_pairwise_delta(pair_fit, target, **query)
         std_path = outdir / "standard_delta.csv"
         _write_blocks(
             std_path, ["date", "target", "conditioner", "measure", "delta"], data.dates,
@@ -273,6 +264,8 @@ def cmd_simulate(args) -> int:
         raise ValueError("--L must be >= 1")
     elif args.p < 2:
         raise ValueError("--p must be >= 2: a panel needs at least two series")
+    elif args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     else:
         model = _default_model(args.L, args.p, args.seed)
     states, data = simulate.sample_path(simulate.SimSpec(model, args.T, args.seed))

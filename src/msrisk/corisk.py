@@ -35,6 +35,7 @@ from .panel import _write_blocks
 from .predictive import PredictiveMixture, predictive_weight_path
 from .studentt import (
     _check_es_nu,
+    _check_probability_rows,
     _mvt_log_norm,
     _stack_mvt,
     batched_mixture_quantile,
@@ -109,14 +110,15 @@ def coalition_masks(n: int) -> np.ndarray:
 class CoRiskEngine:
     """Co-risk measures of T predictive mixtures that share their components.
 
-    The mixtures differ only in their weights (T x L); the components are
-    the regime emissions.  Marginal VaR/ES levels are solved once per
-    (kind, tau) for every date and series as one batched root and cached,
-    so the distress and the baseline rows of a Delta read the same level
-    array.  Conditioning is always on every series but the target, so the
-    construction builds the whole layout once: others, whose row i holds
-    the players of target i (its other series, ascending), and the
-    regression rows, Schur complements and Cholesky factors of every
+    The mixtures differ only in their weights (T x L), each row a
+    probability row: finite entries in [0, 1] that sum to 1 within 1e-10.
+    The components are the regime emissions.  Marginal VaR/ES levels are
+    solved once per (kind, tau) for every date and series as one batched
+    root and cached, so the distress and the baseline rows of a Delta read
+    the same level array.  Conditioning is always on every series but the
+    target, so the construction builds the whole layout once: others, whose
+    row i holds the players of target i (its other series, ascending), and
+    the regression rows, Schur complements and Cholesky factors of every
     target's conditioning block, as one stack over targets.  Callers read
     the player order from others and never derive it.  coalition_values
     evaluates every (date, family, target, coalition) of a request as one
@@ -127,12 +129,7 @@ class CoRiskEngine:
         self.weights = np.atleast_2d(np.asarray(weights, dtype=float))
         if self.weights.ndim != 2 or self.weights.shape[1] != len(components):
             raise ValueError("weights must be T x L with one column per component")
-        # NaN and infinite weights fail one of the two comparisons
-        ok = np.all(self.weights >= 0.0, axis=1) & (abs(self.weights.sum(axis=1) - 1.0) <= 1e-10)
-        if not ok.all():
-            t = int(np.argmin(ok))
-            raise ValueError(f"weights at date {t} must be finite, nonnegative and sum to 1 "
-                             f"within 1e-10, got {self.weights[t].tolist()}")
+        _check_probability_rows(self.weights, 1e-10, "weights at date {}")
         self.mu, self.sigma, _, self.nu = _stack_mvt(components)
         self.sd = np.sqrt(np.diagonal(self.sigma, axis1=1, axis2=2))
         with np.errstate(divide="ignore"):

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import SCHEMA, ReturnPanel
-from .studentt import (MvtParams, _bracketed_newton, _stack_mvt, _stacked_logpdf,
-                       _stacked_mahalanobis)
+from .panel import SCHEMA, ReturnPanel, _read_json
+from .studentt import (MvtParams, _bracketed_newton, _check_probability_rows, _stack_mvt,
+                       _stacked_logpdf, _stacked_mahalanobis)
 
 NU_MIN = 2.1
 NU_MAX = 200.0
@@ -46,7 +46,11 @@ class LikelihoodDecreaseError(RuntimeError):
 
 @dataclass(frozen=True)
 class MsTModel:
-    """Regime parameters plus hidden-chain transition matrix and initial law."""
+    """Regime parameters plus hidden-chain transition matrix and initial law.
+
+    Each row of the transition matrix and the initial law must be a
+    probability row: finite entries in [0, 1] that sum to 1 within 1e-12.
+    """
 
     regimes: tuple
     transition: np.ndarray
@@ -70,16 +74,10 @@ class MsTModel:
                 raise ValueError(f"regime {l} has nu={r.nu} < {NU_MIN}")
         if q.shape != (L, L):
             raise ValueError(f"transition matrix must be {L}x{L}")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("transition matrix Q must be finite")
-        if not np.all(np.isfinite(delta)):
-            raise ValueError("initial distribution delta must be finite")
-        if np.any(q < 0.0) or np.any(q > 1.0):
-            raise ValueError("transition probabilities outside [0, 1]")
-        if np.max(np.abs(q.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("transition rows must sum to 1 within 1e-12")
-        if delta.shape != (L,) or np.any(delta < 0.0) or abs(delta.sum() - 1.0) > 1e-12:
-            raise ValueError("initial distribution must lie on the simplex")
+        _check_probability_rows(q, 1e-12, "row {} of transition matrix Q")
+        if delta.shape != (L,):
+            raise ValueError(f"initial distribution must hold {L} probabilities")
+        _check_probability_rows(delta[None], 1e-12, "initial distribution delta")
 
     @property
     def n_states(self) -> int:
@@ -462,12 +460,19 @@ def _relabel(params, smoothed, filtered):
     return model, smoothed[:, order], filtered[:, order]
 
 
+def _check_integer(value, name, least):
+    """Raise ValueError naming an argument that is not an integer >= least."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def _fit_observations(panel, L) -> np.ndarray:
     """T x p observations of a panel to fit with L states, after the checks all starts share."""
     y = _observations(panel)
     t_len, p = y.shape
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    _check_integer(L, "L", 1)
     if t_len < 10 * p:
         raise ValueError(f"fitting guard: T={t_len} < 10 p={10 * p}")
     # each regime's M-step needs p + 2 observations of posterior mass
@@ -502,6 +507,8 @@ def em_fit(panel, L, *, init="pca", seed=None, tol=1e-8, max_iter=2000) -> FitRe
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
+    if seed is not None:
+        _check_integer(seed, "seed", 0)
     params = _initial_params(y, L, init, seed)
     path, prev, converged, iterations = [], -np.inf, False, 0
     for it in range(max_iter):
@@ -542,8 +549,8 @@ def fit_restarts(panel, L, n_restarts=1, seed=0) -> FitResult:
     decreases or that fail numerically are skipped; if every start fails,
     a RuntimeError names the last error.
     """
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be >= 1")
+    _check_integer(n_restarts, "n_restarts", 1)
+    _check_integer(seed, "seed", 0)
     t_len, p = _fit_observations(panel, L).shape
     _warn_small_sample(param_count(L, p), t_len)
     best = None
@@ -574,8 +581,11 @@ def select_L(panel, L_range, criterion="aic", *, n_restarts=3, seed=0) -> Select
         raise ValueError("empty L range")
     if criterion not in ("aic", "bic"):
         raise ValueError("criterion must be 'aic' or 'bic'")
-    for L in (min(L_range), max(L_range)):
-        t_len, p = _fit_observations(panel, L).shape
+    for L in L_range:
+        _check_integer(L, "L", 1)
+    _check_integer(n_restarts, "n_restarts", 1)
+    _check_integer(seed, "seed", 0)
+    t_len, p = _fit_observations(panel, max(L_range)).shape
     rows = []
     for L in L_range:
         k = param_count(L, p)
@@ -598,6 +608,11 @@ def select_L(panel, L_range, criterion="aic", *, n_restarts=3, seed=0) -> Select
 
 
 def model_to_dict(model: MsTModel, *, labels=None, loglik=None, t_len=None) -> dict:
+    """The msrisk/1 JSON document of a model.
+
+    Sigma and Q are flattened row-major.  labels defaults to y1..yp, and
+    loglik and t_len (the sample length T) are stored as given.
+    """
     p = model.dim
     L = model.n_states
     return {
@@ -668,14 +683,14 @@ def model_from_dict(doc: dict):
 
 
 def save_model(path, model: MsTModel, **meta) -> None:
+    """Write model_to_dict(model, **meta) to path as UTF-8 JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model, **meta), fh, indent=1)
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+    """(model, metadata) of the JSON model file at path, as model_from_dict reads it.
+
+    A file that is not UTF-8 JSON is a ValueError naming it.
+    """
+    return model_from_dict(_read_json(path, "model"))

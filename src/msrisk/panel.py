@@ -11,6 +11,7 @@ import csv
 import datetime
 import io
 import itertools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +169,15 @@ def _write_blocks(path, header, dates, blocks) -> None:
           for column in zip(*labels)),
         *(np.concatenate(column, dtype=float) for column in zip(*series)),
     ])
+
+
+def _read_json(path, what: str):
+    """JSON of a UTF-8 file (BOM or not); one that does not decode or parse is named."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 def _is_comment(row) -> bool:

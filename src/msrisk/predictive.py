@@ -12,11 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import FitResult
+from .studentt import _check_probability_rows
 
 
 @dataclass(frozen=True)
 class PredictiveMixture:
-    """Mixture weights plus component parameters for p(y_{t+h} | I_t)."""
+    """Mixture weights plus component parameters for p(y_{t+h} | I_t).
+
+    The weights must be a probability row: finite entries in [0, 1] that
+    sum to 1 within 1e-12.
+    """
 
     weights: np.ndarray
     components: tuple
@@ -30,8 +35,7 @@ class PredictiveMixture:
         object.__setattr__(self, "components", comps)
         if w.shape != (len(comps),):
             raise ValueError("one weight per component required")
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must lie on the simplex within 1e-12")
+        _check_probability_rows(w[None], 1e-12, "predictive mixture weights")
         if len({c.dim for c in comps}) != 1:
             raise ValueError("components disagree in dimension")
         if self.horizon < 1:
@@ -48,14 +52,14 @@ def predictive_weights(filtered_t, transition, h: int) -> np.ndarray:
     With rows of the transition matrix indexing the from-state this is
     filtered_t @ transition^h; the matrix power uses repeated squaring.
     filtered_t may also be a T x L array of probability rows, which are
-    propagated independently.
+    propagated independently.  Each row must be finite, in [0, 1] and sum
+    to 1 within 1e-10.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
     pi = np.atleast_1d(np.asarray(filtered_t, dtype=float))
     q = np.atleast_2d(np.asarray(transition, dtype=float))
-    if np.any(pi < 0.0) or np.any(np.abs(pi.sum(axis=-1) - 1.0) > 1e-10):
-        raise ValueError("filtered probabilities must lie on the simplex")
+    _check_probability_rows(np.atleast_2d(pi), 1e-10, "row {} of the filtered probabilities")
     w = pi @ np.linalg.matrix_power(q, h)
     w = np.clip(w, 0.0, None)
     return w / w.sum(axis=-1, keepdims=True)

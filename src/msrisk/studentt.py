@@ -72,6 +72,20 @@ def _stack_mvt(components):
     return tuple(np.array([getattr(c, f) for c in components]) for f in fields)
 
 
+def _check_probability_rows(rows, tol, name):
+    """Raise ValueError naming the first row of an n x L stack that is no probability row.
+
+    A probability row has finite entries in [0, 1] that sum to 1 within tol.
+    name, formatted with the index of the bad row, leads the message.
+    """
+    # NaN fails every comparison and an infinity one of the bounds
+    ok = np.all((rows >= 0.0) & (rows <= 1.0), axis=1) & (abs(rows.sum(axis=1) - 1.0) <= tol)
+    if not ok.all():
+        t = int(np.argmin(ok))
+        raise ValueError(f"{name.format(t)} must be finite, nonnegative and sum to 1 within "
+                         f"{tol:g} with no entry above 1, got {rows[t].tolist()}")
+
+
 def _mvt_log_norm(nu, k, logdet=0.0):
     """Log normalizing constant of the k-variate Student-t.
 
@@ -260,8 +274,7 @@ def _mixture_arrays(weights, comps):
     mus, sigmas, nus = np.array(rows).reshape(-1, 3).T
     if w.shape != mus.shape:
         raise ValueError("weights and components disagree in length")
-    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-10):
-        raise ValueError("weights must be nonnegative and sum to 1 within 1e-10")
+    _check_probability_rows(w[None], 1e-10, "mixture weights")
     if not np.all(np.isfinite(mus)):
         raise ValueError("component locations must be finite")
     if not (np.all(sigmas > 0.0) and np.all(nus > 0.0)):

@@ -76,6 +76,7 @@ class TestSimulate:
     @pytest.mark.parametrize("flag, value, message", [
         ("--L", "0", "error: --L must be >= 1\n"),
         ("--p", "1", "error: --p must be >= 2: a panel needs at least two series\n"),
+        ("--seed", "-1", "error: --seed must be >= 0\n"),
     ])
     def test_bad_size_is_an_argument_error(self, tmp_path, capsys, flag, value, message):
         code = main(["simulate", flag, value, "--T", "20", "--out", str(tmp_path)])
@@ -205,6 +206,15 @@ class TestFitAndSelect:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: L must be >= 1\n"
+
+    @pytest.mark.parametrize("restarts, seed", [("3", "-5"), ("2", "-1")])
+    def test_negative_seed_is_an_argument_error(self, sim_dir, tmp_path, capsys,
+                                                restarts, seed):
+        code = main(["fit", "--input", str(sim_dir / "panel.csv"), "--L", "2",
+                     "--restarts", restarts, "--seed", seed, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not (tmp_path / "model.json").exists()
 
     def test_select_single_candidate(self, sim_dir, tmp_path):
         code = main(
@@ -652,9 +662,7 @@ def test_import_starts_no_blas_threads(preset):
         assert report[stage] in (1, None), stage
 
 
-# Public functions that have no docstring, and the private functions that
-# import scipy.special in their body.
-UNDOCUMENTED = {"markov": {"load_model", "model_to_dict", "save_model"}}
+# The private functions that import scipy.special in their body.
 SCIPY_IMPORTERS = {"studentt": ["_mvt_log_norm"], "markov": ["_nu_step"],
                    "simulate": ["_joint_logpdf"]}
 
@@ -665,7 +673,7 @@ def test_functions_keep_their_docstrings(name):
     module = importlib.import_module(f"msrisk.{name}")
     public = [n for n, f in vars(module).items()
               if inspect.isfunction(f) and f.__module__ == module.__name__
-              and not n.startswith("_") and n not in UNDOCUMENTED.get(name, ())]
+              and not n.startswith("_")]
     assert public
     missing = [n for n in public + SCIPY_IMPORTERS[name]
                if not (getattr(module, n).__doc__ or "").strip()]

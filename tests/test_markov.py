@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -714,7 +715,7 @@ FIT_ENTRY_POINTS = {
 
 
 class TestFitArguments:
-    """tol, max_iter and the state count are checked before any E-step runs."""
+    """tol, max_iter, the state count, n_restarts and seed are checked before any E-step runs."""
 
     @pytest.fixture
     def no_e_step(self, monkeypatch):
@@ -751,6 +752,29 @@ class TestFitArguments:
         with pytest.raises(ValueError, match=r"^L=9 states with p=3 series need "
                                              r"T >= L \(p \+ 2\) = 45 observations, got T=40$"):
             call(simulated_panel(40, seed=117))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda panel: em_fit(panel, 2.5), "L must be an integer, got 2.5"),
+        (lambda panel: fit_restarts(panel, 2.0), "L must be an integer, got 2.0"),
+        (lambda panel: fit_restarts(panel, 2, n_restarts=2.5),
+         "n_restarts must be an integer, got 2.5"),
+        (lambda panel: select_L(panel, [2, 2.5]), "L must be an integer, got 2.5"),
+        (lambda panel: select_L(panel, [1, 2.5, 3], n_restarts=1),
+         "L must be an integer, got 2.5"),
+        (lambda panel: select_L(panel, [2], n_restarts=1.0),
+         "n_restarts must be an integer, got 1.0"),
+        (lambda panel: em_fit(panel, 2, init="random", seed=-1), "seed must be >= 0"),
+        (lambda panel: em_fit(panel, 2, init="random", seed=0.5),
+         "seed must be an integer, got 0.5"),
+        (lambda panel: fit_restarts(panel, 2, n_restarts=3, seed=-5), "seed must be >= 0"),
+        (lambda panel: fit_restarts(panel, 2, n_restarts=2, seed=-1), "seed must be >= 0"),
+        (lambda panel: select_L(panel, [1, 2], n_restarts=1, seed=-1), "seed must be >= 0"),
+    ], ids=["em_fit-L", "fit_restarts-L", "fit_restarts-n_restarts", "select_L-max",
+            "select_L-middle", "select_L-n_restarts", "em_fit-seed", "em_fit-float-seed",
+            "fit_restarts-seed", "fit_restarts-seed-first-unused", "select_L-seed"])
+    def test_bad_integer_named_before_any_start(self, call, message, no_e_step):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(simulated_panel(300, seed=116))
 
     def test_state_count_at_the_bound_is_fitted(self, no_e_step):
         with pytest.raises(AssertionError, match="an E-step ran"):

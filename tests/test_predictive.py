@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from msrisk import (
     MvtParams,
     PredictiveMixture,
     build_predictive,
+    mixture_quantile,
     mvt_logpdf,
     predictive_weights,
     sample_path,
 )
+from msrisk.corisk import CoRiskEngine
 from msrisk.simulate import SimSpec
 
 from helpers import fit_from_model, random_model, random_mvt
@@ -152,3 +156,46 @@ class TestPredictiveMixtureValidation:
                 horizon=1,
                 as_of=0,
             )
+
+
+# Every entry point that takes probability rows, fed one row of two states
+# (after a valid row where it takes a stack), with the name its error gives
+# that row and the tolerance of its sum.
+_REG = MvtParams([0.0, 0.0], np.eye(2), 5.0)
+PROBABILITY_ROW_ENTRY_POINTS = {
+    "MsTModel-transition": (lambda row: MsTModel([_REG, _REG], [[0.5, 0.5], row], [0.5, 0.5]),
+                            "row 1 of transition matrix Q", "1e-12"),
+    "MsTModel-initial": (lambda row: MsTModel([_REG, _REG], np.eye(2), row),
+                         "initial distribution delta", "1e-12"),
+    "PredictiveMixture": (lambda row: PredictiveMixture(row, [_REG, _REG], horizon=1, as_of=0),
+                          "predictive mixture weights", "1e-12"),
+    "predictive_weights": (lambda row: predictive_weights([[0.5, 0.5], row], np.eye(2), 1),
+                           "row 1 of the filtered probabilities", "1e-10"),
+    "CoRiskEngine": (lambda row: CoRiskEngine([[0.5, 0.5], row], [_REG, _REG]),
+                     "weights at date 1", "1e-10"),
+    "mixture_quantile": (lambda row: mixture_quantile(row, [(0.0, 1.0, 5.0)] * 2, 0.05),
+                         "mixture weights", "1e-10"),
+}
+
+
+class TestProbabilityRows:
+    """One rule for every probability row: finite, in [0, 1], summing to 1 within tol."""
+
+    # Each bad row breaks one part of the rule; its sum is within 1e-12 of 1
+    # unless the sum is what it breaks.
+    @pytest.mark.parametrize("row", [
+        [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [-1e-13, 1.0], [1.0 + 5e-13, 0.0],
+        [0.7, 0.7],
+    ], ids=["nan", "inf", "minus-inf", "negative", "above-one", "off-sum"])
+    @pytest.mark.parametrize("entry", sorted(PROBABILITY_ROW_ENTRY_POINTS))
+    def test_bad_row_is_named(self, entry, row):
+        call, name, tol = PROBABILITY_ROW_ENTRY_POINTS[entry]
+        message = (f"{name} must be finite, nonnegative and sum to 1 within {tol} with no "
+                   f"entry above 1, got {row}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(row)
+
+    @pytest.mark.parametrize("row", [[1.0, 0.0], [0.5, 0.5 + 4e-13], [0.25, 0.75 - 4e-13]])
+    @pytest.mark.parametrize("entry", sorted(PROBABILITY_ROW_ENTRY_POINTS))
+    def test_row_within_tolerance_is_accepted(self, entry, row):
+        PROBABILITY_ROW_ENTRY_POINTS[entry][0](row)
