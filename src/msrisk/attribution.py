@@ -174,10 +174,8 @@ def attribution_series(fit: FitResult, measure: str = "covar", tau1: float = 0.0
 
 def vis_a_vis(fit: FitResult, pair, measure: str = "covar", tau1: float = 0.05,
               tau2: float = 0.05, *, h: int = 1, probs: str = "filtered"):
-    """Paired share series for two sectors: (share of b on a, share of a on b)."""
+    """Paired share series for two distinct sectors: (share of b on a, share of a on b)."""
     a, b = pair
-    if a == b:
-        raise ValueError("vis-a-vis needs two distinct sectors")
     series = attribution_series(
         fit, measure, tau1, tau2, h=h, probs=probs, targets=(a, b)
     )

@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(_with_config(argv))
         return _COMMANDS[args.command](args)
-    except (panel.PanelError, ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

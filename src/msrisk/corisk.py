@@ -25,7 +25,6 @@ case, and marginal VaR/ES solve one univariate mixture.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,11 @@ from .markov import FitResult, MsTModel
 from .panel import _write_blocks
 from .predictive import PredictiveMixture, predictive_weight_path
 from .studentt import (
-    _check_es_nu,
+    _check_levels,
+    _check_nu,
     _check_probability_rows,
+    _coordinates,
+    _index,
     _mvt_log_norm,
     _stack_mvt,
     batched_mixture_quantile,
@@ -66,15 +68,13 @@ class RiskQuery:
     tau2: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "target", operator.index(self.target))
-        object.__setattr__(self, "distress", tuple(sorted(map(operator.index, self.distress))))
-        if self.target in self.distress:
-            raise ValueError("target cannot be in its own distress set")
-        if len(set(self.distress)) != len(self.distress):
-            raise ValueError("distress set contains duplicates")
-        for tau in (self.tau1, self.tau2):
-            if not 0.0 < tau < 1.0:
-                raise ValueError("tail levels must lie strictly in (0, 1)")
+        object.__setattr__(self, "target", _index(self.target, "target"))
+        object.__setattr__(self, "distress",
+                           tuple(sorted(_index(j, "distress") for j in self.distress)))
+        if len({self.target, *self.distress}) != 1 + len(self.distress):
+            raise ValueError(f"target {self.target} and distress set {self.distress} must be "
+                             "distinct series")
+        _check_levels((self.tau1, self.tau2), "tail levels")
 
 
 @dataclass
@@ -93,9 +93,12 @@ class RiskSeries:
     delta_coes: np.ndarray = None
 
 
-def _check_index(mix: PredictiveMixture, i: int) -> None:
-    if not 0 <= i < mix.dim:
-        raise IndexError(f"series index {i} outside dimension {mix.dim}")
+def _check_index(i, dim: int) -> int:
+    """Series index i as an int; fractional is a TypeError, outside [0, dim) an IndexError."""
+    i = _index(i, "series index")
+    if not 0 <= i < dim:
+        raise IndexError(f"series index {i} outside dimension {dim}")
+    return i
 
 
 def coalition_masks(n: int) -> np.ndarray:
@@ -174,11 +177,9 @@ class CoRiskEngine:
         one batched truncated mean.  With es, every component's nu must
         exceed 1, which is checked before any root.
         """
-        for tau in taus:
-            if not 0.0 < tau < 1.0:
-                raise ValueError("tau must lie strictly in (0, 1)")
+        _check_levels(taus)
         if es:
-            _check_es_nu(self.nu)
+            _check_nu(self.nu, 1.0, "ES")
         taus = sorted({float(t) for t in taus})
         # (date, series, tau) rows of the T marginal mixtures
         rows = (self.weights[:, None, None, :], self.mu.T[None, :, None, :],
@@ -249,14 +250,10 @@ class CoRiskEngine:
         order given.
         """
         measures = tuple(measures)
-        # operator.index rejects a fractional index rather than truncating it
-        targets = np.array([operator.index(i) for i in targets], dtype=int)
+        targets = np.array([_check_index(i, self.dim) for i in targets], dtype=int)
         for m in measures:
             if m not in MEASURES:
                 raise ValueError("measure must be 'covar' or 'coes'")
-        for i in targets:
-            if not 0 <= i < self.dim:
-                raise IndexError(f"series index {i} outside dimension {self.dim}")
         if self.dim < 2:
             raise ValueError("co-risk measures need at least two series")
         masks = np.asarray(coalitions, dtype=bool)
@@ -265,8 +262,7 @@ class CoRiskEngine:
             raise ValueError(
                 f"coalitions must be a nonempty (C, {d}) boolean array, got shape {masks.shape}"
             )
-        if not 0.0 < tau1 < 1.0:
-            raise ValueError("tau must lie strictly in (0, 1)")
+        _check_levels((tau1, tau2), "tail levels")
         self.solve_levels((tau2, 0.5), es="coes" in measures)
         kinds = ["var" if m == "covar" else "es" for m in measures]
         others = self.others[targets]
@@ -295,7 +291,7 @@ def _query_values(mix: PredictiveMixture, q: RiskQuery, measure: str,
                   baseline: bool) -> np.ndarray:
     """Measure at the query's distress set and, with baseline, at the empty set."""
     for j in (q.target, *q.distress):
-        _check_index(mix, j)
+        _check_index(j, mix.dim)
     if baseline and not q.distress:
         raise ValueError("Delta measures need a nonempty distress set")
     engine = CoRiskEngine.from_mixture(mix)
@@ -306,7 +302,7 @@ def _query_values(mix: PredictiveMixture, q: RiskQuery, measure: str,
 
 def _marginal(mix: PredictiveMixture, i: int) -> list:
     """(location, scale, nu) of every component's i-th marginal."""
-    _check_index(mix, i)
+    i = _check_index(i, mix.dim)
     return [(c.mu[i], np.sqrt(c.sigma[i, i]), c.nu) for c in mix.components]
 
 
@@ -329,12 +325,12 @@ def conditional_mixture(mix: PredictiveMixture, target: int, cond_idx, cond_valu
 
     Returns (weights, [(mu, sigma, nu), ...]).
     """
-    _check_index(mix, target)
-    cond_idx = list(cond_idx)
+    target = _check_index(target, mix.dim)
+    cond_idx = _coordinates(cond_idx, mix.dim, "cond_idx").tolist()
     cond_values = np.asarray(cond_values, dtype=float)
-    if not cond_idx or cond_values.shape != (len(cond_idx),):
-        raise ValueError("cond_values must match a nonempty cond_idx in length")
-    # marginal_mvt rejects a repeated index (the target's included) or one out of range
+    if cond_values.shape != (len(cond_idx),):
+        raise ValueError("cond_values must match cond_idx in length")
+    # marginal_mvt rejects the target repeated in cond_idx
     keep = sorted([target, *cond_idx])
     engine = CoRiskEngine(mix.weights, [marginal_mvt(c, keep) for c in mix.components])
     x = cond_values[np.argsort(cond_idx)][None, None, None, None]
@@ -421,7 +417,7 @@ def marginalize_fit(fit: FitResult, indices) -> FitResult:
     unchanged; regime emissions become their marginals on the kept
     coordinates.  The log-likelihood no longer applies and is set to NaN.
     """
-    idx = list(indices)
+    idx = _coordinates(indices, fit.model.dim, "indices")
     model = MsTModel(
         [marginal_mvt(r, idx) for r in fit.model.regimes],
         fit.model.transition,
@@ -449,8 +445,6 @@ def standard_pairwise_delta(fit_bivariate: FitResult, target: int, measure: str 
     """
     if fit_bivariate.model.dim != 2:
         raise ValueError("standard pairwise Delta needs a bivariate model")
-    if target not in (0, 1):
-        raise ValueError("target must be 0 or 1")
     engine = CoRiskEngine.from_fit(fit_bivariate, h, probs)
     values = engine.coalition_values((target,), (measure,), tau1, tau2, [[True], [False]])
     return values[:, 0, 0, 0] - values[:, 0, 0, 1]

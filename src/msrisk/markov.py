@@ -460,11 +460,11 @@ def _relabel(params, smoothed, filtered):
     return model, smoothed[:, order], filtered[:, order]
 
 
-def _check_integer(value, name, least):
-    """Raise ValueError naming an argument that is not an integer >= least."""
+def _check_integer(value, name, least=None):
+    """Raise ValueError naming an argument that is not an integer (>= least, if given)."""
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
 
 

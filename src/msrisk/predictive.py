@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import FitResult
-from .studentt import _check_probability_rows
+from .markov import FitResult, _check_integer
+from .studentt import _check_probability_rows, _index
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,8 @@ class PredictiveMixture:
     """Mixture weights plus component parameters for p(y_{t+h} | I_t).
 
     The weights must be a probability row: finite entries in [0, 1] that
-    sum to 1 within 1e-12.
+    sum to 1 within 1e-12.  The horizon is an integer >= 1 and as_of a
+    time index.
     """
 
     weights: np.ndarray
@@ -33,13 +34,13 @@ class PredictiveMixture:
         comps = tuple(self.components)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "as_of", _index(self.as_of, "as_of"))
         if w.shape != (len(comps),):
             raise ValueError("one weight per component required")
         _check_probability_rows(w[None], 1e-12, "predictive mixture weights")
         if len({c.dim for c in comps}) != 1:
             raise ValueError("components disagree in dimension")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _check_integer(self.horizon, "horizon", 1)
 
     @property
     def dim(self) -> int:
@@ -53,13 +54,17 @@ def predictive_weights(filtered_t, transition, h: int) -> np.ndarray:
     filtered_t @ transition^h; the matrix power uses repeated squaring.
     filtered_t may also be a T x L array of probability rows, which are
     propagated independently.  Each row must be finite, in [0, 1] and sum
-    to 1 within 1e-10.
+    to 1 within 1e-10; the transition matrix must be L x L with such rows
+    within 1e-12, and h an integer >= 1.
     """
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_integer(h, "horizon", 1)
     pi = np.atleast_1d(np.asarray(filtered_t, dtype=float))
     q = np.atleast_2d(np.asarray(transition, dtype=float))
+    L = pi.shape[-1]
+    if q.shape != (L, L):
+        raise ValueError(f"transition matrix must be {L}x{L}, got shape {q.shape}")
     _check_probability_rows(np.atleast_2d(pi), 1e-10, "row {} of the filtered probabilities")
+    _check_probability_rows(q, 1e-12, "row {} of transition matrix Q")
     w = pi @ np.linalg.matrix_power(q, h)
     w = np.clip(w, 0.0, None)
     return w / w.sum(axis=-1, keepdims=True)
@@ -84,6 +89,7 @@ def build_predictive(fit: FitResult, t: int, h: int = 1, probs: str = "filtered"
     'smoothed' is exposed for full-sample reproduction studies.
     """
     source = _state_probs(fit, probs)
+    t = _index(t, "time index")
     if not 0 <= t < source.shape[0]:
         raise IndexError(f"time index {t} outside sample of length {source.shape[0]}")
     weights = predictive_weights(source[t], fit.model.transition, h)

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import MsTModel
+from .markov import MsTModel, _check_integer
 from .panel import ReturnPanel
+from .studentt import _check_levels, _coordinates
 
 # Date of the first simulated observation; later ones follow weekly.
 START = datetime.date(2000, 1, 7)
@@ -32,7 +33,10 @@ MAX_T = (datetime.date.max - START).days // 7 + 1
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Simulation request: model, sample length and seed."""
+    """Simulation request: model, sample length and seed, both integers.
+
+    A negative seed is read modulo 2**64 (see sample_path).
+    """
 
     model: MsTModel
     T: int
@@ -43,8 +47,8 @@ class SimSpec:
             raise ValueError(
                 f"model dimension {self.model.dim}: a panel needs at least two series"
             )
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        _check_integer(self.T, "T", 1)
+        _check_integer(self.seed, "seed")
         if self.T > MAX_T:
             raise ValueError(
                 f"T = {self.T}: weekly dates from {START} end after "
@@ -166,14 +170,13 @@ def grid_conditional_quantile(params, cond_idx, cond_values, tau) -> float:
     params is either a single MvtParams or a (weights, [MvtParams, ...])
     mixture; exactly one coordinate must remain unconditioned.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie strictly in (0, 1)")
+    _check_levels(tau)
     if isinstance(params, tuple):
         weights, comps = params
     else:
         weights, comps = [1.0], [params]
     dim = comps[0].dim
-    cond_idx = list(cond_idx)
+    cond_idx = _coordinates(cond_idx, dim, "cond_idx").tolist()
     free = [i for i in range(dim) if i not in set(cond_idx)]
     if len(free) != 1:
         raise ValueError("exactly one coordinate must remain unconditioned")

@@ -10,6 +10,7 @@ input and call them with a single row.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,7 @@ class MvtParams:
             raise ValueError(f"sigma must be {k}x{k}, got {sigma.shape}")
         if not np.all(np.isfinite(sigma)):
             raise ValueError("sigma must be finite")
-        if not np.isfinite(self.nu) or self.nu <= 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        _check_nu(self.nu, 0.0, "a Student-t")
         scale = max(1.0, float(np.max(np.abs(sigma))))
         if np.max(np.abs(sigma - sigma.T)) > 1e-12 * scale:
             raise ValueError("sigma is not symmetric")
@@ -84,6 +84,42 @@ def _check_probability_rows(rows, tol, name):
         t = int(np.argmin(ok))
         raise ValueError(f"{name.format(t)} must be finite, nonnegative and sum to 1 within "
                          f"{tol:g} with no entry above 1, got {rows[t].tolist()}")
+
+
+def _check_levels(tau, name="tau"):
+    """Raise ValueError naming name unless every level in tau lies strictly in (0, 1)."""
+    tau = np.asarray(tau, dtype=float)
+    ok = (tau > 0.0) & (tau < 1.0)  # NaN fails both
+    if not ok.all():
+        raise ValueError(f"{name} must lie strictly in (0, 1), got {tau[~ok][0]}")
+
+
+def _check_nu(nu, least, what):
+    """Raise ValueError naming the first degrees of freedom in nu not finite and above least."""
+    nu = np.asarray(nu, dtype=float)
+    ok = np.isfinite(nu) & (nu > least)
+    if not ok.all():
+        if nu.ndim == 0:
+            raise ValueError(f"{what} needs a finite nu > {least:g}, got nu = {nu}")
+        i = np.argmin(ok)
+        raise ValueError(f"{what} needs every component nu > {least:g}, component {i} has "
+                         f"nu = {nu.flat[i]}")
+
+
+def _index(i, name) -> int:
+    """i by operator.index, so a fractional i is a TypeError naming name, never truncated."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise TypeError(f"{name} {i!r} cannot be interpreted as an integer") from None
+
+
+def _coordinates(idx, dim, name) -> np.ndarray:
+    """The int array of a nonempty set of distinct coordinates in [0, dim), entries by _index."""
+    idx = [_index(i, name) for i in (idx if np.iterable(idx) else [idx])]
+    if not idx or min(idx) < 0 or max(idx) >= dim or len(set(idx)) != len(idx):
+        raise ValueError(f"{name} must be nonempty distinct coordinates in [0, {dim}), got {idx}")
+    return np.array(idx)
 
 
 def _mvt_log_norm(nu, k, logdet=0.0):
@@ -165,8 +201,7 @@ def t_cdf(z, nu):
     """CDF of the standardized univariate Student-t."""
     from scipy import special
 
-    if not np.all(np.asarray(nu) > 0):
-        raise ValueError("nu must be positive")
+    _check_nu(nu, 0.0, "the t CDF")
     return special.stdtr(nu, z)
 
 
@@ -174,11 +209,8 @@ def t_quantile(tau, nu):
     """Quantile of the standardized univariate Student-t."""
     from scipy import special
 
-    tau = np.asarray(tau, dtype=float)
-    if not np.all((tau > 0.0) & (tau < 1.0)):
-        raise ValueError("tau must lie strictly in (0, 1)")
-    if not np.all(np.asarray(nu) > 0):
-        raise ValueError("nu must be positive")
+    _check_levels(tau)
+    _check_nu(nu, 0.0, "the t quantile")
     q = np.asarray(special.stdtrit(nu, tau))
     return float(q) if q.ndim == 0 else q
 
@@ -188,8 +220,7 @@ def t_lower_partial(z, nu):
 
     Closed form -f(z) * (nu + z^2) / (nu - 1); requires nu > 1.
     """
-    if not np.all(np.asarray(nu) > 1.0):
-        raise ValueError("partial expectation requires nu > 1")
+    _check_nu(nu, 1.0, "the partial expectation")
     z = np.asarray(z, dtype=float)
     log_f = _mvt_log_norm(nu, 1) - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
     return -np.exp(log_f) * (nu + z * z) / (nu - 1.0)
@@ -201,19 +232,14 @@ def t_es(tau, nu):
     ES_tau = E[Z | Z <= q_tau] = -f(q_tau)/tau * (nu + q_tau^2)/(nu - 1).
     Defined for nu > 1 only.
     """
-    if not nu > 1.0:
-        raise ValueError("ES of the Student-t requires nu > 1")
+    _check_nu(nu, 1.0, "ES")
     q = t_quantile(tau, nu)
     return float(t_lower_partial(q, nu) / tau)
 
 
 def marginal_mvt(p: MvtParams, keep_idx) -> MvtParams:
     """Marginal of a multivariate t on the given coordinates (nu unchanged)."""
-    keep = np.atleast_1d(np.asarray(keep_idx, dtype=int))
-    if keep.size == 0:
-        raise ValueError("keep_idx must be nonempty")
-    if np.any(keep < 0) or np.any(keep >= p.dim) or len(set(keep.tolist())) != keep.size:
-        raise ValueError("keep_idx must be distinct valid coordinates")
+    keep = _coordinates(keep_idx, p.dim, "keep_idx")
     return MvtParams(p.mu[keep], p.sigma[np.ix_(keep, keep)], p.nu)
 
 
@@ -232,12 +258,10 @@ def condition_mvt(p: MvtParams, cond_idx, cond_values) -> MvtParams:
     mu_c = mu_1 + A' z and the Schur complement is S11 - A' A.  The
     remaining coordinates keep their original relative order.
     """
-    cond = np.atleast_1d(np.asarray(cond_idx, dtype=int))
+    cond = _coordinates(cond_idx, p.dim, "cond_idx")
     values = np.atleast_1d(np.asarray(cond_values, dtype=float))
-    if cond.size == 0 or cond.size >= p.dim:
-        raise ValueError("cond_idx must be a proper nonempty subset of coordinates")
-    if len(set(cond.tolist())) != cond.size:
-        raise ValueError("cond_idx contains duplicates")
+    if cond.size == p.dim:
+        raise ValueError("cond_idx must leave at least one coordinate free")
     if values.shape != cond.shape:
         raise ValueError("cond_values must match cond_idx in length")
     keep = np.array([i for i in range(p.dim) if i not in set(cond.tolist())])
@@ -277,17 +301,10 @@ def _mixture_arrays(weights, comps):
     _check_probability_rows(w[None], 1e-10, "mixture weights")
     if not np.all(np.isfinite(mus)):
         raise ValueError("component locations must be finite")
-    if not (np.all(sigmas > 0.0) and np.all(nus > 0.0)):
-        raise ValueError("component scales and degrees of freedom must be positive")
+    if not np.all(np.isfinite(sigmas) & (sigmas > 0.0)):
+        raise ValueError("component scales must be finite and positive")
+    _check_nu(nus, 0.0, "a t mixture")
     return w, mus, sigmas, nus
-
-
-def _check_es_nu(nu) -> None:
-    """Raise naming the first component whose nu <= 1: no ES exists there."""
-    bad = np.flatnonzero(~(nu > 1.0))
-    if bad.size:
-        raise ValueError(f"ES needs every component nu > 1, component {bad[0]} has "
-                         f"nu = {nu[bad[0]]}")
 
 
 def _rows(point, *arrays):
@@ -422,8 +439,7 @@ def mixture_quantile(weights, comps, tau) -> float:
     Solves sum_l w_l F_l((x - mu_l)/sigma_l) = tau (see
     batched_mixture_quantile).
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie strictly in (0, 1)")
+    _check_levels(tau)
     w, mus, sigmas, nus = _mixture_arrays(weights, comps)
     return float(batched_mixture_quantile(w, mus, sigmas, nus, tau))
 
@@ -431,11 +447,10 @@ def mixture_quantile(weights, comps, tau) -> float:
 def mixture_truncated_mean(weights, comps, cutoff) -> float:
     """E[X | X <= cutoff] for a finite mixture of univariate t components.
 
-    Uses the closed-form lower partial expectation of each component.
-    Requires every component nu > 1.
+    Uses the closed-form lower partial expectation of each component, which
+    checks that every component nu exceeds 1.
     """
     w, mus, sigmas, nus = _mixture_arrays(weights, comps)
-    _check_es_nu(nus)
     return float(batched_mixture_truncated_mean(w, mus, sigmas, nus, cutoff))
 
 
@@ -447,8 +462,7 @@ def mixture_es(weights, comps, tau) -> float:
     checked before that quantile is solved.
     """
     w, mus, sigmas, nus = _mixture_arrays(weights, comps)
-    _check_es_nu(nus)
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie strictly in (0, 1)")
+    _check_nu(nus, 1.0, "ES")
+    _check_levels(tau)
     q = batched_mixture_quantile(w, mus, sigmas, nus, tau)
     return float(batched_mixture_truncated_mean(w, mus, sigmas, nus, q))

@@ -135,7 +135,7 @@ def test_criterion_3_em_recovery():
 
 
 def test_criterion_4_conditional_quantile_oracle():
-    """condition_mvt + mixture_quantile vs grid slicing, 100 instances."""
+    """conditional_mixture (the engine's T=1 path) + mixture_quantile vs grid slicing, 100 draws."""
     start = time.perf_counter()
     rng = np.random.default_rng(44)
     worst = 0.0

@@ -65,6 +65,34 @@ class TestPredictiveWeights:
         with pytest.raises(ValueError):
             predictive_weights([0.7, 0.7], np.eye(2), 1)
 
+    @pytest.mark.parametrize("q", [np.eye(3), [[0.5, 0.5]], [0.5, 0.5]])
+    def test_transition_must_be_square_over_the_states(self, q):
+        shape = np.atleast_2d(q).shape
+        with pytest.raises(ValueError, match=re.escape(f"transition matrix must be 2x2, got "
+                                                       f"shape {shape}")):
+            predictive_weights([0.5, 0.5], q, 1)
+
+
+# Every entry point that takes a horizon, called with it
+HORIZON_ENTRY_POINTS = {
+    "predictive_weights": lambda h: predictive_weights([0.5, 0.5], np.eye(2), h),
+    "PredictiveMixture": lambda h: PredictiveMixture(
+        [1.0], [MvtParams([0.0], [[1.0]], 5.0)], horizon=h, as_of=0),
+    "build_predictive": lambda h: build_predictive(
+        fit_from_model(random_model(np.random.default_rng(47), 2, 2), np.zeros((5, 2))), 0, h),
+}
+
+
+@pytest.mark.parametrize("h, message", [
+    (1.5, "^horizon must be an integer, got 1.5$"),
+    (2.0, "^horizon must be an integer, got 2.0$"),
+    (0, "^horizon must be >= 1$"),
+])
+@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRY_POINTS))
+def test_horizon_is_an_integer_of_at_least_one(entry, h, message):
+    with pytest.raises(ValueError, match=message):
+        HORIZON_ENTRY_POINTS[entry](h)
+
 
 class TestBuildPredictive:
     def build_fit(self, seed, L=2, p=2, t_len=30):
@@ -171,6 +199,9 @@ PROBABILITY_ROW_ENTRY_POINTS = {
                           "predictive mixture weights", "1e-12"),
     "predictive_weights": (lambda row: predictive_weights([[0.5, 0.5], row], np.eye(2), 1),
                            "row 1 of the filtered probabilities", "1e-10"),
+    "predictive_weights-transition": (
+        lambda row: predictive_weights([0.5, 0.5], [[0.5, 0.5], row], 1),
+        "row 1 of transition matrix Q", "1e-12"),
     "CoRiskEngine": (lambda row: CoRiskEngine([[0.5, 0.5], row], [_REG, _REG]),
                      "weights at date 1", "1e-10"),
     "mixture_quantile": (lambda row: mixture_quantile(row, [(0.0, 1.0, 5.0)] * 2, 0.05),

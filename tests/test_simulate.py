@@ -141,6 +141,23 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             SimSpec(random_model(rng, 2, 2), 0, 0)
 
+    @pytest.mark.parametrize("t_len, seed, message", [
+        (2.5, 0, "^T must be an integer, got 2.5$"),
+        (np.float64(5.0), 0, r"^T must be an integer, got np.float64\(5.0\)$"),
+        (5, 1.5, "^seed must be an integer, got 1.5$"),
+        (0, 0, "^T must be >= 1$"),
+    ])
+    def test_rejects_fractional_size_or_seed(self, t_len, seed, message):
+        with pytest.raises(ValueError, match=message):
+            SimSpec(random_model(np.random.default_rng(66), 2, 2), t_len, seed)
+
+    def test_negative_seed_is_read_modulo_two_to_the_64(self):
+        model = random_model(np.random.default_rng(67), 2, 2)
+        states, panel = sample_path(SimSpec(model, 5, -1))
+        want_states, want = sample_path(SimSpec(model, 5, (1 << 64) - 1))
+        np.testing.assert_array_equal(states, want_states)
+        np.testing.assert_array_equal(panel.returns, want.returns)
+
     def test_rejects_one_series_model(self):
         model = MsTModel([MvtParams([0.0], [[1.0]], 5.0)], [[1.0]], [1.0])
         with pytest.raises(ValueError, match="^model dimension 1: a panel needs at least two series$"):

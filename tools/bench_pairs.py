@@ -42,7 +42,8 @@ first run on both sides, with a per-file and an overall `identical` flag,
 and per command and side the process wall seconds and the child's CPU
 seconds (user + system, from RUSAGE_CHILDREN) of every run, with their
 median and quartiles.  Each side's source is recorded by the sha256 and the
-line count of its src/msrisk/*.py.
+line count of its src/msrisk/*.py, in total (source_lines) and per file
+(source_lines_by_file).
 
 This script's own process never imports msrisk: `import msrisk` sets
 OPENBLAS_NUM_THREADS in os.environ when no thread variable is set, and the
@@ -125,10 +126,10 @@ def source_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def source_lines(checkout: Path) -> int:
-    """Line count of the checkout's src/msrisk/*.py."""
-    return sum(len(path.read_bytes().splitlines())
-               for path in (checkout / "src" / "msrisk").glob("*.py"))
+def source_lines_by_file(checkout: Path) -> dict:
+    """Line count of each of the checkout's src/msrisk/*.py, by file name."""
+    return {path.name: len(path.read_bytes().splitlines())
+            for path in sorted((checkout / "src" / "msrisk").glob("*.py"))}
 
 
 def perfbench_command(workload: str, seed=SEED) -> list:
@@ -436,12 +437,14 @@ def main(argv=None) -> int:
     with open(sides["change"] / "BENCHMARK.json", "r", encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
+    lines = {side: source_lines_by_file(path) for side, path in sides.items()}
     doc = {
         "command": perfbench_command("W"),
         "pairs": PAIRS,
         "order": "parent first on odd pairs, change first on even pairs",
         "source_sha256": {side: source_digest(path) for side, path in sides.items()},
-        "source_lines": {side: source_lines(path) for side, path in sides.items()},
+        "source_lines": {side: sum(by_file.values()) for side, by_file in lines.items()},
+        "source_lines_by_file": lines,
         "chain": compare_chain(sides),
         "workloads": {},
     }
