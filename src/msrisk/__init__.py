@@ -6,8 +6,11 @@ Multiple-CoES and their Delta variants, and attributes total co-risk
 across sectors with exact Shapley values.
 
 scipy.special is imported inside the functions that call it, never at
-module level: importing it costs about 0.3 s, which `import msrisk` and
-the commands that make no special-function call (simulate, stats) skip.
+module level, and only a t CDF or quantile (risk, shapley) or a
+brute-force oracle calls it: importing it costs 0.19-0.23 s and about
+20 MB, which `import msrisk` and the simulate, stats, fit and select
+commands skip.  EM's digamma, trigamma and t normaliser are computed in
+msrisk itself.
 
 Unless the caller set one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
 OMP_NUM_THREADS, importing msrisk sets OPENBLAS_NUM_THREADS=1 before numpy

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corisk import CoRiskEngine, coalition_masks
+from .corisk import CoRiskEngine, _check_index, coalition_masks
 from .markov import FitResult
 from .panel import SCHEMA, _write_blocks
 from .predictive import PredictiveMixture
@@ -151,11 +151,12 @@ def attribution_series(fit: FitResult, measure: str = "covar", tau1: float = 0.0
 
     Emits one share series per (target, contributor) pair plus the
     grand-coalition Delta per target.  Every coalition of every target and
-    date is one co-risk engine call.  A target may appear only once.
+    date is one co-risk engine call.  Each target is a series index, an int
+    in the result (a fractional one is a TypeError), and may appear only once.
     """
     engine = CoRiskEngine.from_fit(fit, h, probs)
     p = engine.dim
-    targets = tuple(range(p)) if targets is None else tuple(targets)
+    targets = tuple(range(p) if targets is None else (_check_index(i, p) for i in targets))
     for n, i in enumerate(targets):
         if i in targets[:n]:
             raise ValueError(f"target {i} is repeated in targets")

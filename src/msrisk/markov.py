@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .panel import SCHEMA, ReturnPanel, _read_json
-from .studentt import (MvtParams, _bracketed_newton, _check_probability_rows, _stack_mvt,
-                       _stacked_logpdf, _stacked_mahalanobis)
+from .studentt import (MvtParams, _bracketed_newton, _check_probability_rows, _digamma_gaps,
+                       _stack_mvt, _stacked_logpdf, _stacked_mahalanobis)
 
 NU_MIN = 2.1
 NU_MAX = 200.0
@@ -372,12 +372,13 @@ def _nu_step(maha, w, nu_old, p):
     the weights gamma / n, which sum to 1.  With r = maha / (nu + maha),
     minus twice the score, psi(nu/2) - psi((nu+p)/2) + p/nu
     + sum w log(1 + maha/nu) - (nu+p)/nu sum w r, has the slope
-    (psi'(nu/2) - psi'((nu+p)/2))/2 - (p - 2p sum w r + (nu+p) sum w r^2)/nu^2,
-    psi' = zeta(2, .).  A regime whose score keeps its sign on the bracket
-    takes that bound; the others are solved by _bracketed_newton, to 1e-10.
+    (psi'(nu/2) - psi'((nu+p)/2))/2 - (p - 2p sum w r + (nu+p) sum w r^2)/nu^2.
+    Both psi differences come from _digamma_gaps, the shift-and-asymptotic
+    forms of AS 103 (Bernardo 1976) and AS 121 (Schneider 1978) taken on the
+    differences themselves.  A regime whose score keeps its sign on the
+    bracket takes that bound; the others are solved by _bracketed_newton, to
+    1e-10.
     """
-    from scipy import special
-
     L = len(nu_old)
 
     def minus_score(nu, rows):
@@ -387,11 +388,10 @@ def _nu_step(maha, w, nu_old, p):
         r = np.divide(m, np.add(col, m, out=terms[:, 1]), out=terms[:, 1])
         np.multiply(r, r, out=terms[:, 2])
         sum_log, sum_r, sum_r2 = np.matmul(terms, w[rows])[..., 0].T
-        half, upper, nu_p = 0.5 * nu, 0.5 * (nu + p), nu + p
-        value = (special.digamma(half) - special.digamma(upper) + p / nu + sum_log
-                 - nu_p / nu * sum_r)
-        slope = (0.5 * (special.zeta(2.0, half) - special.zeta(2.0, upper))
-                 - (p - 2.0 * p * sum_r + nu_p * sum_r2) / (nu * nu))
+        psi_gap, trigamma_gap = _digamma_gaps(0.5 * nu, 0.5 * p)
+        nu_p = nu + p
+        value = psi_gap + p / nu + sum_log - nu_p / nu * sum_r
+        slope = 0.5 * trigamma_gap - (p - 2.0 * p * sum_r + nu_p * sum_r2) / (nu * nu)
         return value, slope
 
     ends, _ = minus_score(np.repeat([NU_MIN, NU_MAX], L), np.tile(np.arange(L), 2))

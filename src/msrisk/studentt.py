@@ -10,6 +10,7 @@ input and call them with a single row.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -122,24 +123,88 @@ def _coordinates(idx, dim, name) -> np.ndarray:
     return np.array(idx)
 
 
+# psi(x) ~ log x - 1/(2x) - sum_k B_2k / (2k x^2k) and psi'(x) ~ 1/x + 1/(2x^2)
+# + sum_k B_2k / x^(2k+1), B_2k the Bernoulli numbers: the coefficient pairs
+# of k = 7 down to 1.  From x >= 10 the first terms left out are below 1e-16.
+_PSI_SERIES = tuple(zip((1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12),
+                        (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)))[::-1]
+
+
+def _digamma_gaps(a, m):
+    """(psi(a) - psi(a + m), psi'(a) - psi'(a + m)) as two arrays, for a > 0 (1-d) and m > 0.
+
+    As in AS 103 (Bernardo 1976, Appl. Statist. 25, 315-317) and AS 121
+    (Schneider 1978, Appl. Statist. 27, 97-99), an argument below 10 is
+    shifted up by psi(x) = psi(x + 1) - 1/x and psi'(x) = psi'(x + 1) + 1/x^2
+    and the asymptotic series is taken there.  Both arguments shift by the
+    same count, so each step adds -m / (x (x + m)) and m (2x + m) / (x (x +
+    m))^2, whose signs never alternate, and the series are differenced with
+    log x - log(x + m) as -log1p(m / x): nothing cancels.  Within a few ulp
+    of max(1, |value|).  Scalar math in a loop over a beats numpy calls on
+    the at most 2L values of a nu step.
+    """
+    psi, tri = [], []
+    for x in a.tolist():
+        d_psi = d_tri = 0.0
+        while x < 10.0:
+            q = 1.0 / (x * (x + m))
+            d_psi -= m * q
+            d_tri += m * (2.0 * x + m) * q * q
+            x += 1.0
+        y = x + m
+        sx, sy = 1.0 / (x * x), 1.0 / (y * y)
+        px = py = tx = ty = 0.0
+        for c_psi, c_tri in _PSI_SERIES:
+            px, py = px * sx + c_psi, py * sy + c_psi
+            tx, ty = tx * sx + c_tri, ty * sy + c_tri
+        q = m / (x * y)
+        psi.append(d_psi - math.log1p(m / x) - 0.5 * q - (px * sx - py * sy))
+        tri.append(d_tri + q + 0.5 * q * (x + y) / (x * y) + (tx * sx / x - ty * sy / y))
+    return np.array(psi), np.array(tri)
+
+
+# _log_gamma_ratio shifts its arguments by _GAMMA_SHIFT, where the Stirling
+# series sum_k B_2k / (2k (2k - 1) x^(2k - 1)), k = 1..9, leaves out less
+# than 1e-17.
+_GAMMA_SHIFT = 8
+_STIRLING = np.array([1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+                      -3617 / 122400, 43867 / 244188])
+_STIRLING_POWERS = -1.0 - 2.0 * np.arange(_STIRLING.size)
+
+
+def _log_gamma_ratio(a, m):
+    """log Gamma(a + m) - log Gamma(a), elementwise for a > 0 and a scalar m > 0.
+
+    With x = a + 8, Gamma(z + 1) = z Gamma(z) gives the value as R(x) minus
+    sum_{j<8} log1p(m / (a + j)), and the Stirling series gives R(x) = log
+    Gamma(x + m) - log Gamma(x) = (x + m - 1/2) log1p(m / x) + m (log x - 1)
+    + S(x + m) - S(x), S the series above.  No term overflows and none
+    loses the digits that a difference of two log-gammas of a large
+    argument does: within about ten ulp of max(1, |value|) for a in [0.01,
+    1e8] and m up to 350.
+    """
+    a = np.asarray(a, dtype=float)
+    steps = np.arange(_GAMMA_SHIFT + 2.0)
+    steps[-1] = _GAMMA_SHIFT + m
+    points = a[..., None] + steps  # a, a + 1, ..., x = a + 8, x + m
+    logs = np.log1p(m / points[..., :-1])
+    x = points[..., _GAMMA_SHIFT]
+    series = np.power(points[..., _GAMMA_SHIFT:, None], _STIRLING_POWERS) @ _STIRLING
+    return ((m * (np.log(x) - 1.0) - logs[..., :-1].sum(axis=-1))
+            + (x + (m - 0.5)) * logs[..., -1] + (series[..., 1] - series[..., 0]))
+
+
 def _mvt_log_norm(nu, k, logdet=0.0):
     """Log normalizing constant of the k-variate Student-t.
 
     logdet is the log-determinant of the scale matrix (0 for the
-    standardized t).  The ratio Gamma((nu + k)/2) / Gamma(nu/2) is taken as
-    a Pochhammer symbol, which stays accurate for very large nu where a
-    difference of two gammaln values loses every digit.  Where the ratio
-    overflows (k of a few hundred) its log exceeds 709 and the gammaln
-    difference is used instead, which then loses nothing.
+    standardized t).  log Gamma((nu + k)/2) - log Gamma(nu/2) is
+    _log_gamma_ratio, a shift-and-Stirling form after AS 103 (Bernardo
+    1976) and AS 121 (Schneider 1978): it keeps its digits for very large
+    nu, where a difference of two log-gammas loses them all, and for k of a
+    few hundred, where the Gamma ratio itself overflows.
     """
-    from scipy import special
-
-    ratio = special.poch(0.5 * nu, 0.5 * k)
-    log_ratio = np.where(
-        np.isfinite(ratio), np.log(ratio),
-        special.gammaln(0.5 * (nu + k)) - special.gammaln(0.5 * nu),
-    )
-    return log_ratio - 0.5 * k * np.log(nu * np.pi) - 0.5 * logdet
+    return _log_gamma_ratio(0.5 * nu, 0.5 * k) - 0.5 * k * np.log(nu * np.pi) - 0.5 * logdet
 
 
 def _stacked_mahalanobis(x, mu, chol):
@@ -412,16 +477,19 @@ def batched_mixture_truncated_mean(weights, mu, scale, nu, cutoff):
 
     Broadcasting and validation as in batched_mixture_quantile, plus every
     nu > 1.  Raises ValueError when some row has no mass below its cutoff.
+    The partial expectations take nu as given, before it is spread over
+    rows, so their log-normalisers are evaluated once per given nu.
     """
     from scipy import special
 
-    shape, cutoff, (w, mu, s, nu) = _rows(cutoff, weights, mu, scale, nu)
+    nu = np.asarray(nu, dtype=float)
+    shape, cutoff, (w, mu, s, nu_rows) = _rows(cutoff, weights, mu, scale, nu)
     z = (cutoff[:, None] - mu) / s
-    cdf = special.stdtr(nu, z)
+    cdf = special.stdtr(nu_rows, z)
     mass = np.sum(w * cdf, axis=1)
     if np.any(mass <= 0.0):
         raise ValueError("no probability mass below the cutoff")
-    partial = mu * cdf + s * t_lower_partial(z, nu)
+    partial = mu * cdf + s * t_lower_partial(z.reshape(*shape, -1), nu).reshape(z.shape)
     return (np.sum(w * partial, axis=1) / mass).reshape(shape)
 
 

@@ -191,6 +191,24 @@ class TestAttributionSeries:
             with pytest.raises(ValueError, match=f"^target {repeated} is repeated in targets$"):
                 attribution_series(fit, targets=targets)
 
+    def test_fractional_target_rejected_before_repeat_test(self):
+        # 1.0 == 1, so a repeat test ahead of the index rule would name a repeat.
+        fit, _ = small_fit(p=3)
+        with pytest.raises(TypeError, match=r"^series index 1\.0 cannot be interpreted as an "
+                                            r"integer$"):
+            attribution_series(fit, targets=(1, 1.0))
+
+    def test_numpy_integer_targets_become_int(self):
+        fit, _ = small_fit(p=3)
+        series = attribution_series(fit, targets=(np.int64(2), np.int32(0)))
+        assert series.targets == (2, 0)
+        assert all(type(i) is int for i in series.targets)
+        assert all(type(i) is int and type(j) is int for i, j in series.shares)
+        assert all(type(i) is int for i in series.grand)
+        reference = attribution_series(fit, targets=(2, 0))
+        for key, values in reference.shares.items():
+            np.testing.assert_array_equal(series.shares[key], values)
+
 
 class TestVisAVis:
     def test_symmetric_model_series_coincide(self):

@@ -578,8 +578,8 @@ def test_import_leaves_scipy_linalg_unloaded():
 
 def test_simulate_and_stats_leave_scipy_unloaded(tmp_path):
     # A fresh interpreter, since the test suite imports scipy itself:
-    # scipy.special loads on the first special-function call, which import,
-    # simulate and stats never make and risk does.
+    # scipy.special loads on the first t CDF or quantile, which import,
+    # simulate, stats, fit and select never need and risk does.
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -592,6 +592,9 @@ def test_simulate_and_stats_leave_scipy_unloaded(tmp_path):
                 ("simulate", ["simulate", "--L", "2", "--p", "2", "--T", "120",
                               "--seed", "7", "--out", out + "/sim"]),
                 ("stats", ["stats", "--input", panel, "--out", out + "/stats"]),
+                ("fit", ["fit", "--input", panel, "--L", "2", "--out", out + "/fit"]),
+                ("select", ["select", "--input", panel, "--L-range", "2:3", "--restarts", "1",
+                            "--out", out + "/select"]),
                 ("risk", ["risk", "--input", panel, "--model", model, "--out", out + "/risk"])]
         report = {}
         for name, argv in runs:
@@ -608,6 +611,8 @@ def test_simulate_and_stats_leave_scipy_unloaded(tmp_path):
     assert report["import"] == [None, []]
     assert report["simulate"] == [0, []]
     assert report["stats"] == [0, []]
+    assert report["fit"] == [0, []]
+    assert report["select"] == [0, []]
     risk_code, loaded = report["risk"]
     assert risk_code == 0 and "scipy.special" in loaded
 
@@ -663,8 +668,7 @@ def test_import_starts_no_blas_threads(preset):
 
 
 # The private functions that import scipy.special in their body.
-SCIPY_IMPORTERS = {"studentt": ["_mvt_log_norm"], "markov": ["_nu_step"],
-                   "simulate": ["_joint_logpdf"]}
+SCIPY_IMPORTERS = {"studentt": [], "markov": [], "simulate": ["_joint_logpdf"]}
 
 
 @pytest.mark.parametrize("name", ["studentt", "markov", "simulate"])

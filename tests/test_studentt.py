@@ -3,6 +3,7 @@ import io
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ from msrisk.cli import main
 from msrisk.studentt import (
     EPS,
     _bracketed_newton,
+    _digamma_gaps,
+    _log_gamma_ratio,
     _mvt_log_norm,
     _rows,
     batched_mixture_quantile,
@@ -148,6 +151,58 @@ class TestMvtLogpdf:
         x = p.mu + rng.normal(size=(4, k))
         expected = stats.multivariate_t(p.mu, p.sigma, df=nu).logpdf(x)
         np.testing.assert_allclose(mvt_logpdf(x, p), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("nu", [1e4, 1e6, 1e8, 1e10])
+    def test_univariate_large_nu_matches_mpmath(self, nu):
+        # The log of scipy's Pochhammer symbol Gamma((nu + 1)/2) / Gamma(nu/2),
+        # used before, put the log-density 2.3e-12 relative off at nu = 1e4.
+        x = np.array([-3.0, -0.5, 0.0, 1.0, 2.5])
+        with mpmath.workdps(40):
+            n = mpmath.mpf(nu)
+            norm = (mpmath.loggamma((n + 1) / 2) - mpmath.loggamma(n / 2)
+                    - mpmath.log(n * mpmath.pi) / 2)
+            expected = [float(norm - (n + 1) / 2 * mpmath.log1p(mpmath.mpf(v) ** 2 / n))
+                        for v in x]
+        got = mvt_logpdf(x[:, None], MvtParams([0.0], [[1.0]], nu))
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+class TestGammaFunctionGaps:
+    """The nu step's psi and psi' differences and the t normaliser's log-gamma
+    difference against 40-digit mpmath, at a log-uniform in [0.01, 1e8]."""
+
+    A = np.exp(np.random.default_rng(26).uniform(np.log(0.01), np.log(1e8), 150))
+    STEPS = [0.5, 1.0, 1.5, 2.5, 3.0, 350.0]
+
+    @staticmethod
+    def ulps(got, expected):
+        """Largest error in units of EPS * max(1, |expected|)."""
+        expected = np.array([float(v) for v in expected])
+        return np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected))) / EPS
+
+    @pytest.mark.parametrize("m", STEPS)
+    def test_digamma_gaps(self, m):
+        psi, trigamma = _digamma_gaps(self.A, m)
+        with mpmath.workdps(40):
+            a = [mpmath.mpf(v) for v in self.A]
+            assert self.ulps(psi, [mpmath.digamma(v) - mpmath.digamma(v + m) for v in a]) <= 6
+            assert self.ulps(trigamma, [mpmath.polygamma(1, v) - mpmath.polygamma(1, v + m)
+                                        for v in a]) <= 6
+
+    @pytest.mark.parametrize("m", STEPS)
+    def test_log_gamma_ratio(self, m):
+        # Where the value is near 0 (a < 1), the shift sum and the Stirling
+        # part are each about m log 8 and their roundings leave some ulp.
+        with mpmath.workdps(40):
+            expected = [mpmath.loggamma(v + m) - mpmath.loggamma(v)
+                        for v in map(mpmath.mpf, self.A)]
+        assert self.ulps(_log_gamma_ratio(self.A, m), expected) <= 12
+
+    def test_log_gamma_ratio_keeps_shape(self):
+        a = np.array([[0.7, 3.0, 40.0], [1e3, 2.5e5, 9e7]])
+        expected = np.array([[_log_gamma_ratio(np.array([v]), 2.0)[0] for v in row] for row in a])
+        np.testing.assert_array_equal(_log_gamma_ratio(a, 2.0), expected)
+        assert np.ndim(_log_gamma_ratio(3.0, 2.0)) == 0
 
 
 class TestMvtMahalanobis:

@@ -39,10 +39,11 @@ runs the CHAIN of msrisk commands CHAIN_RUNS times per checkout,
 alternating which side goes first, each run in a fresh directory and each
 command in a fresh process.  It records every output file's sha256 of the
 first run on both sides, with a per-file and an overall `identical` flag,
-and per command and side the process wall seconds and the child's CPU
-seconds (user + system, from RUSAGE_CHILDREN) of every run, with their
-median and quartiles.  Each side's source is recorded by the sha256 and the
-line count of its src/msrisk/*.py, in total (source_lines) and per file
+and per command and side the process wall seconds, the child's CPU
+seconds (user + system) and its peak resident set in MB (ru_maxrss), both
+from os.wait4 on its pid, of every run, with their median and quartiles.
+Each side's source is recorded by the sha256 and the line count of its
+src/msrisk/*.py, in total (source_lines) and per file
 (source_lines_by_file).
 
 This script's own process never imports msrisk: `import msrisk` sets
@@ -115,7 +116,7 @@ CHAIN = (
      "--compare-standard", "--out", "shapley_coes"],
 )
 # Runs of the CHAIN per side, alternating which side goes first
-CHAIN_RUNS = 5
+CHAIN_RUNS = 10
 
 
 def source_digest(checkout: Path) -> str:
@@ -355,40 +356,48 @@ def run_chain(checkout: Path):
     """Run the CHAIN with the checkout's msrisk, each command in a fresh process.
 
     Returns the sha256 of every file it writes, keyed by path, and each
-    command's wall seconds and CPU seconds, keyed by its --out directory.
+    command's wall seconds, CPU seconds and peak resident MB, keyed by its
+    --out directory.  The two resource figures are the child's own, read by
+    os.wait4 on its pid.
     """
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    seconds, cpu_seconds = {}, {}
+    seconds, cpu_seconds, peak_rss_mb = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for argv in CHAIN:
-            before = resource.getrusage(resource.RUSAGE_CHILDREN)
-            start = time.perf_counter()
-            subprocess.run([sys.executable, "-m", "msrisk.cli", *argv], cwd=tmp, env=env,
-                           capture_output=True, check=True)
-            seconds[argv[-1]] = time.perf_counter() - start
-            after = resource.getrusage(resource.RUSAGE_CHILDREN)
-            cpu_seconds[argv[-1]] = (after.ru_utime + after.ru_stime
-                                     - before.ru_utime - before.ru_stime)
+            with tempfile.TemporaryFile() as stderr:
+                start = time.perf_counter()
+                proc = subprocess.Popen([sys.executable, "-m", "msrisk.cli", *argv], cwd=tmp,
+                                        env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+                _, status, usage = os.wait4(proc.pid, 0)
+                seconds[argv[-1]] = time.perf_counter() - start
+                proc.returncode = os.waitstatus_to_exitcode(status)
+                if proc.returncode:
+                    stderr.seek(0)
+                    raise RuntimeError(f"msrisk {' '.join(argv)} exited with {proc.returncode}: "
+                                       f"{stderr.read()[-2000:].decode(errors='replace')}")
+            cpu_seconds[argv[-1]] = usage.ru_utime + usage.ru_stime
+            peak_rss_mb[argv[-1]] = usage.ru_maxrss / 1024.0
         digests = {path.relative_to(tmp).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in sorted(Path(tmp).rglob("*")) if path.is_file()}
-    return digests, seconds, cpu_seconds
+    return digests, seconds, cpu_seconds, peak_rss_mb
 
 
 def compare_chain(sides) -> dict:
     """CHAIN_RUNS alternating runs of the CHAIN on both sides.
 
     The first run's output digests, with per-file and overall identical
-    flags, and per command and side every run's wall seconds and CPU
-    seconds with their median and quartiles.
+    flags, and per command and side every run's wall seconds, CPU seconds
+    and peak resident MB with their median and quartiles.
     """
     digests = {}
-    seconds, cpu_seconds = {side: [] for side in sides}, {side: [] for side in sides}
+    seconds, cpu_seconds, peak_rss_mb = ({side: [] for side in sides} for _ in range(3))
     for i in range(CHAIN_RUNS):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            files, times, cpu_times = run_chain(sides[side])
+            files, times, cpu_times, rss = run_chain(sides[side])
             digests.setdefault(side, files)
             seconds[side].append(times)
             cpu_seconds[side].append(cpu_times)
+            peak_rss_mb[side].append(rss)
     files = {
         name: {**{side: d.get(name) for side, d in digests.items()},
                "identical": len({d.get(name) for d in digests.values()}) == 1}
@@ -409,6 +418,7 @@ def compare_chain(sides) -> dict:
         "files": files,
         "process_s": per_command(seconds),
         "process_cpu_s": per_command(cpu_seconds),
+        "process_peak_rss_mb": per_command(peak_rss_mb),
     }
 
 
@@ -451,9 +461,11 @@ def main(argv=None) -> int:
     print(f"chain outputs identical: {doc['chain']['identical']}", file=sys.stderr)
     for command, stats in doc["chain"]["process_s"].items():
         cpu = doc["chain"]["process_cpu_s"][command]
+        rss = doc["chain"]["process_peak_rss_mb"][command]
         print(f"chain {command}: {stats['parent']['median']:.3f} -> "
               f"{stats['change']['median']:.3f} s wall, {cpu['parent']['median']:.3f} -> "
-              f"{cpu['change']['median']:.3f} s CPU", file=sys.stderr)
+              f"{cpu['change']['median']:.3f} s CPU, {rss['parent']['median']:.1f} -> "
+              f"{rss['change']['median']:.1f} MB peak", file=sys.stderr)
     for workload in WORKLOADS:
         seeds = [(SEED, PAIRS), EXTRA[workload]] if workload in EXTRA else [(SEED, PAIRS)]
         for seed, n_pairs in seeds:
