@@ -213,8 +213,6 @@ def _parse_body(body: str, width: int):
     dtype = [("c0", object)] + [(f"c{i}", float) for i in range(1, width)]
     try:
         table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        if len(table) != len(lines):  # loadtxt skipped a line the loop would not
-            return None
         dates = list(map(datetime.date.fromisoformat, map(str.strip, table["c0"].tolist())))
     except ValueError:
         return None

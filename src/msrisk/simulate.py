@@ -70,16 +70,17 @@ def sample_path(spec: SimSpec):
     """
     model, t_len = spec.model, spec.T
     L, p = model.n_states, model.dim
-    key = np.array([spec.seed % (1 << 64), 0], dtype=np.uint64)
+    key = [spec.seed % (1 << 64), 0]
     fresh = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    bit_gen = np.random.Philox(key=key)
+    # A list key would reach Philox through float and lose bits above 2**53.
+    bit_gen = np.random.Philox(key=np.array(key, dtype=np.uint64))
     rng = np.random.Generator(bit_gen)
 
     u = rng.uniform(size=t_len)

@@ -248,11 +248,6 @@ def _one_regime(x, p: MvtParams):
     return [a.reshape(x.shape[:-1])[()] for a in out]
 
 
-def mvt_mahalanobis(x, p: MvtParams):
-    """Quadratic form (x - mu)' sigma^{-1} (x - mu), batched over leading axes."""
-    return _one_regime(x, p)[1]
-
-
 def mvt_logpdf(x, p: MvtParams):
     """Log-density of the multivariate Student-t.
 
@@ -491,14 +486,6 @@ def batched_mixture_truncated_mean(weights, mu, scale, nu, cutoff):
         raise ValueError("no probability mass below the cutoff")
     partial = mu * cdf + s * t_lower_partial(z.reshape(*shape, -1), nu).reshape(z.shape)
     return (np.sum(w * partial, axis=1) / mass).reshape(shape)
-
-
-def mixture_cdf(x, weights, comps):
-    """CDF of a finite mixture of univariate t components at x."""
-    from scipy import special
-
-    w, mus, sigmas, nus = _mixture_arrays(weights, comps)
-    return float(np.sum(w * special.stdtr(nus, (x - mus) / sigmas)))
 
 
 def mixture_quantile(weights, comps, tau) -> float:

@@ -1,9 +1,22 @@
 """Shared constructors for the test suite."""
 
 import numpy as np
+from scipy import special
 
 from msrisk import MsTModel, MvtParams, PredictiveMixture
 from msrisk.markov import fit_from_model  # noqa: F401  (re-exported for the tests)
+from msrisk.studentt import _mixture_arrays, _one_regime
+
+
+def mixture_cdf(x, weights, comps):
+    """CDF of a finite mixture of univariate t components at x."""
+    w, mus, sigmas, nus = _mixture_arrays(weights, comps)
+    return float(np.sum(w * special.stdtr(nus, (x - mus) / sigmas)))
+
+
+def mvt_mahalanobis(x, p: MvtParams):
+    """Quadratic form (x - mu)' sigma^{-1} (x - mu), batched over leading axes."""
+    return _one_regime(x, p)[1]
 
 
 def random_pd(rng, k, scale=1.0):

@@ -28,9 +28,9 @@ from msrisk import (
 )
 from msrisk.attribution import vis_a_vis
 from msrisk.corisk import CoRiskEngine, RiskQuery, conditional_mixture
-from msrisk.studentt import mixture_cdf, mixture_truncated_mean, t_lower_partial
+from msrisk.studentt import mixture_truncated_mean, t_lower_partial
 
-from helpers import fit_from_model, random_mixture, random_model
+from helpers import fit_from_model, mixture_cdf, random_mixture, random_model
 
 _MVT = MvtParams([0.0, 0.0], np.eye(2) + 0.5, 5.0)
 _MIX_COMPS = [(0.0, 1.0, 5.0), (0.5, 2.0, 8.0)]

@@ -16,9 +16,9 @@ from msrisk import (
     shapley,
     vis_a_vis,
 )
-from msrisk.attribution import write_attribution_csv, write_attribution_json
+from msrisk.attribution import MAX_PLAYERS, write_attribution_csv, write_attribution_json
 from msrisk.corisk import RiskQuery
-from msrisk.predictive import build_predictive
+from msrisk.predictive import PredictiveMixture, build_predictive
 from msrisk.simulate import SimSpec
 
 from helpers import fit_from_model, random_mixture, random_model
@@ -103,6 +103,11 @@ class TestShapley:
         with pytest.raises(ValueError, match="subsets"):
             CharacteristicMap(0, (1, 2), {frozenset({1}): 1.0})
 
+    def test_coalition_outside_players_rejected(self):
+        values = {frozenset({1}): 1.0, frozenset({3}): 2.0, frozenset({1, 2}): 3.0}
+        with pytest.raises(ValueError, match=r"^coalition \{3\} outside the player set$"):
+            CharacteristicMap(0, (1, 2), values)
+
 
 class TestCharacteristicValues:
     def test_bivariate_single_entry(self):
@@ -137,6 +142,13 @@ class TestCharacteristicValues:
         rng = np.random.default_rng(98)
         with pytest.raises(ValueError):
             characteristic_values(random_mixture(rng, 2, 3), 0, measure="var")
+
+    def test_player_count_guard(self):
+        p = MAX_PLAYERS + 2
+        mix = PredictiveMixture([1.0], [MvtParams(np.zeros(p), np.eye(p), 5.0)], 1, 0)
+        with pytest.raises(ValueError, match=f"^{MAX_PLAYERS + 1} contributors exceed the "
+                                             f"exact-enumeration guard of {MAX_PLAYERS}$"):
+            characteristic_values(mix, 0)
 
 
 def small_fit(seed=99, p=3, t_len=8, L=2):

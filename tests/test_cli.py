@@ -109,6 +109,25 @@ class TestStats:
         assert "quantile_0.05" in rows[0]
         assert float(rows[0]["kurtosis"]) > 0
 
+    def test_prices_become_log_returns(self, sim_dir, tmp_path):
+        data = load_csv(sim_dir / "panel.csv")
+        prices = 100.0 * np.exp(np.cumsum(data.returns, axis=0))
+        files = {"prices": (data.dates, prices), "returns": (data.dates[1:], data.returns[1:])}
+        for name, (dates, values) in files.items():
+            lines = [",".join(["date", *data.names])] + [
+                ",".join([d.isoformat(), *map(repr, row)]) for d, row in zip(dates, values.tolist())
+            ]
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for name, flags in (("prices", ["--prices"]), ("returns", [])):
+            assert main(["stats", "--input", str(tmp_path / f"{name}.csv"), *flags,
+                         "--out", str(tmp_path / name)]) == 0
+        got, want = (read_rows(tmp_path / name / "summary.csv") for name in ("prices", "returns"))
+        assert [r["name"] for r in got] == list(data.names)
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            for column in set(w) - {"name"}:
+                assert math.isclose(float(g[column]), float(w[column]), rel_tol=1e-9), column
+
     def test_empty_input_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -752,6 +752,13 @@ class TestEngineLayout:
                                              "nonnegative and sum to 1 within 1e-10"):
             CoRiskEngine(weights, regimes)
 
+    @pytest.mark.parametrize("weights", [[[0.2, 0.3, 0.5]], [1.0], np.full((1, 1, 2), 0.5)])
+    def test_weights_need_one_column_per_component(self, weights):
+        regimes = random_model(np.random.default_rng(3630), 2, 3).regimes
+        with pytest.raises(ValueError, match="^weights must be T x L with one column per "
+                                             "component$"):
+            CoRiskEngine(weights, regimes)
+
     def test_weights_within_tolerance_accepted(self):
         regimes = random_model(np.random.default_rng(3631), 2, 3).regimes
         assert CoRiskEngine([[0.5, 0.5 + 5e-11], [1.0, 0.0]], regimes).weights.shape == (2, 2)

@@ -27,6 +27,8 @@ from msrisk.cli import main
 from msrisk.markov import SelectionRow, SelectionTable
 from msrisk.panel import CSV_SCHEMA, PanelError, ReturnPanel, load_csv
 
+from helpers import random_model
+
 
 def oracle_write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -241,6 +243,19 @@ class TestWriterOracle:
         run_chain(monkeypatch, tmp_path, quoted, sim / "truth_model.json", out, select=False)
         risk = (out / "risk.csv").read_text(encoding="utf-8")
         assert '"a,b+say ""hi"""' in risk and ',"say ""hi""",' in risk
+
+    def test_attribution_without_targets(self, tmp_path):
+        model = random_model(np.random.default_rng(3300), 2, 3)
+        _, data = simulate.sample_path(simulate.SimSpec(model, 8, 1))
+        series = attribution.attribution_series(markov.fit_from_model(model, data), targets=())
+        header = ["date", "target", "contributor", "measure", "share", "grand_value"]
+        oracle_write_csv(tmp_path / "oracle.csv", header, [])
+        oracle_write_attribution_json(tmp_path / "oracle.json", data.dates, data.names, series)
+        attribution.write_attribution_csv(tmp_path / "got.csv", data.dates, data.names, series)
+        attribution.write_attribution_json(tmp_path / "got.json", data.dates, data.names, series)
+        for suffix in ("csv", "json"):
+            got, want = (tmp_path / f"{name}.{suffix}" for name in ("got", "oracle"))
+            assert got.read_bytes() == want.read_bytes(), suffix
 
     @pytest.mark.parametrize("errors", [
         ["", "all 1 restarts failed: regime 2 collapsed, occupancy 0.4"],

@@ -42,9 +42,8 @@ from msrisk.markov import (
 )
 from msrisk.panel import ReturnPanel
 from msrisk.simulate import SimSpec
-from msrisk.studentt import mvt_mahalanobis
 
-from helpers import random_model, random_mvt
+from helpers import mvt_mahalanobis, random_model, random_mvt
 
 
 # Well-separated two-regime design reused across estimation tests.
@@ -776,6 +775,14 @@ class TestFitArguments:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(simulated_panel(300, seed=116))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda panel: em_fit(panel, 2, init="kmeans"), "unknown init 'kmeans'"),
+        (lambda panel: select_L(panel, [2], criterion="hqc"), "criterion must be 'aic' or 'bic'"),
+    ], ids=["em_fit-init", "select_L-criterion"])
+    def test_unknown_choice_named_before_any_start(self, call, message, no_e_step):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(simulated_panel(300, seed=116))
+
     def test_state_count_at_the_bound_is_fitted(self, no_e_step):
         with pytest.raises(AssertionError, match="an E-step ran"):
             em_fit(simulated_panel(40, seed=117), 8)
@@ -913,6 +920,19 @@ class TestModelValidation:
         reg = MvtParams([0.0, 0.0], np.eye(2), 2.0)
         with pytest.raises(ValueError, match="nu"):
             MsTModel([reg], np.array([[1.0]]), [1.0])
+
+    @pytest.mark.parametrize("dims, q, delta, message", [
+        ((), [[1.0]], [1.0], "at least one regime required"),
+        ((2, 3), np.full((2, 2), 0.5), [0.5, 0.5], "regimes disagree in dimension"),
+        ((2, 2), [[1.0]], [0.5, 0.5], "transition matrix must be 2x2"),
+        ((2, 2), np.full((2, 3), 1 / 3), [0.5, 0.5], "transition matrix must be 2x2"),
+        ((2, 2), np.full((2, 2), 0.5), [1.0], "initial distribution must hold 2 probabilities"),
+        ((2,), [[1.0]], [[1.0]], "initial distribution must hold 1 probabilities"),
+    ])
+    def test_rejects_bad_shapes(self, dims, q, delta, message):
+        regimes = [MvtParams(np.zeros(k), np.eye(k), 5.0) for k in dims]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MsTModel(regimes, q, delta)
 
     @pytest.mark.parametrize("q, delta, field", [
         ([[np.nan, 0.5], [0.5, 0.5]], [0.5, 0.5], "transition matrix Q"),

@@ -1,4 +1,5 @@
 import datetime
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,11 @@ class TestLoadCsv:
         with pytest.raises(PanelError, match="empty"):
             load_csv(write(tmp_path, ""))
 
+    def test_header_without_value_columns(self, tmp_path):
+        path = write(tmp_path, "# schema: msrisk/1\ndate\n2020-01-01\n")
+        with pytest.raises(PanelError, match=f"^{re.escape(str(path))}: no value columns$"):
+            load_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv")
@@ -80,6 +86,15 @@ class TestReturnPanel:
         dates = [datetime.date(2020, 1, d) for d in (1, 2)]
         with pytest.raises(PanelError, match="non-finite"):
             ReturnPanel(dates, ["a", "b"], [[0.1, np.nan], [0.0, 0.1]])
+
+    @pytest.mark.parametrize("names, rows, message", [
+        (["a", "b", "c"], [[0.1, 0.2]], "3 names for 2 series"),
+        (["a"], [[0.1, 0.2]], "1 names for 2 series"),
+        (["a", "b"], [[0.1, 0.2], [0.3, 0.4]], "1 dates for 2 rows"),
+    ])
+    def test_rejects_counts_that_disagree(self, names, rows, message):
+        with pytest.raises(PanelError, match=f"^{message}$"):
+            ReturnPanel([datetime.date(2020, 1, 1)], names, rows)
 
     def test_rejects_duplicate_names(self):
         dates = [datetime.date(2020, 1, d) for d in (1, 2)]

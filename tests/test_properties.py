@@ -23,9 +23,10 @@ from msrisk.markov import _scan_rows
 from msrisk.studentt import (
     batched_mixture_quantile,
     condition_mvt,
-    mixture_cdf,
     univariate,
 )
+
+from helpers import mixture_cdf
 
 taus = st.floats(min_value=0.001, max_value=0.999)
 dfs = st.floats(min_value=1.0, max_value=200.0)

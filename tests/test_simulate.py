@@ -196,6 +196,19 @@ class TestGridConditionalQuantile:
         with pytest.raises(ValueError):
             grid_conditional_quantile(p, [0], [0.0], 1.5)
 
+    def test_no_density_mass_named(self):
+        # At 1e200 the Mahalanobis form overflows, so the slice is 0 everywhere.
+        p = MvtParams([0.0, 0.0], np.eye(2), 5.0)
+        with pytest.raises(ValueError, match="^grid carries no density mass$"):
+            grid_conditional_quantile(p, [1], [1e200], 0.05)
+
+    def test_tail_heavier_than_the_widest_grid(self):
+        # nu = 1 leaves the conditional t with nu = 2, whose mass outside the
+        # widest grid, +-480 marginal scales, is about 2e-6.
+        p = MvtParams([0.0, 0.0], np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="^grid mass below 1 - 1e-6 after 3 expansions$"):
+            grid_conditional_quantile(p, [1], [0.0], 0.5)
+
 
 class TestBruteForce:
     def test_single_state_sum(self):
@@ -226,6 +239,18 @@ class TestBruteForce:
         assert abs(
             brute_force_loglik(model, y) - brute_force_loglik(permuted, y)
         ) < 1e-10
+
+    def test_scale_matrix_with_negative_determinant(self):
+        # b is one ulp above sqrt(6), so 2 * 3 - b^2 < 0; the Cholesky factor
+        # that MvtParams takes still exists in floating point.
+        b = np.nextafter(np.sqrt(6.0), 3.0)
+        assert b * b > 6.0
+        reg = MvtParams([0.0, 0.0], [[2.0, b], [b, 3.0]], 5.0)
+        model = MsTModel([reg], np.array([[1.0]]), [1.0])
+        for call in (lambda: brute_force_loglik(model, np.zeros((3, 2))),
+                     lambda: grid_conditional_quantile(reg, [1], [0.0], 0.05)):
+            with pytest.raises(ValueError, match="^scale matrix must be positive definite$"):
+                call()
 
     def test_size_guard(self):
         rng = np.random.default_rng(68)

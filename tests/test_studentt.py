@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import warnings
 from pathlib import Path
 
@@ -34,14 +35,12 @@ from msrisk.studentt import (
     _rows,
     batched_mixture_quantile,
     batched_mixture_truncated_mean,
-    mixture_cdf,
     mixture_truncated_mean,
-    mvt_mahalanobis,
     t_lower_partial,
     univariate,
 )
 
-from helpers import random_mvt, random_pd
+from helpers import mixture_cdf, mvt_mahalanobis, random_mvt, random_pd
 
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 # `msrisk simulate` arguments of the benchmark's risk and shapley inputs at
@@ -91,6 +90,15 @@ class TestMvtParams:
     def test_rejects_bad_nu(self):
         with pytest.raises(ValueError, match="nu"):
             MvtParams([0.0], [[1.0]], 0.0)
+
+    @pytest.mark.parametrize("mu, sigma, message", [
+        ([[0.0, 0.0]], np.eye(2), "mu must be a vector"),
+        ([0.0, 0.0], np.eye(3), "sigma must be 2x2, got (3, 3)"),
+        ([0.0, 0.0], [1.0, 0.0], "sigma must be 2x2, got (1, 2)"),
+    ])
+    def test_rejects_bad_shapes(self, mu, sigma, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MvtParams(mu, sigma, 5.0)
 
     @pytest.mark.parametrize("mu, sigma, field", [
         ([0.0, np.nan], np.eye(2), "mu"),
@@ -371,6 +379,21 @@ class TestConditionMvt:
         with pytest.raises(ValueError):
             condition_mvt(p, [0, 0], [0.0, 0.0])
 
+    def test_values_must_match_the_set(self):
+        p = MvtParams([0.0, 0.0, 0.0], np.eye(3), 5.0)
+        with pytest.raises(ValueError, match="^cond_values must match cond_idx in length$"):
+            condition_mvt(p, [0], [1.0, 2.0])
+
+    def test_singular_block_named(self):
+        # Sigma's Cholesky factor exists: its second pivot 3 - fl(sqrt 3)^2 is
+        # 4.4e-16.  Taken in the order [1, 0], the block's factor is fl(sqrt 3)
+        # and then 1 - (fl(sqrt 3) / fl(sqrt 3))^2 = 0, so no factor exists.
+        s = np.sqrt(3.0)
+        p = MvtParams([0.0, 0.0, 0.0], [[1.0, s, 0.0], [s, 3.0, 0.0], [0.0, 0.0, 1.0]], 5.0)
+        assert condition_mvt(p, [0, 1], [0.0, 0.0]).dim == 1
+        with pytest.raises(ValueError, match="^singular conditioning block$"):
+            condition_mvt(p, [1, 0], [0.0, 0.0])
+
 
 class TestMarginalMvt:
     def test_keep_all_identity(self):
@@ -401,6 +424,12 @@ class TestMarginalMvt:
         p = MvtParams([0.0, 0.0], np.eye(2), 5.0)
         with pytest.raises(ValueError):
             marginal_mvt(p, [])
+
+    def test_univariate_needs_one_dimension(self):
+        p = MvtParams([0.0, 0.0], np.eye(2), 5.0)
+        assert univariate(marginal_mvt(p, [1])) == (0.0, 1.0, 5.0)
+        with pytest.raises(ValueError, match="^expected a univariate distribution$"):
+            univariate(p)
 
 
 class TestMixtureQuantile:
@@ -465,6 +494,11 @@ class TestMixtureQuantile:
             mixture_quantile([1.0], [(0.0, -1.0, 5.0)], 0.5)
         with pytest.raises(ValueError):
             mixture_quantile([1.0], [(0.0, 1.0, 5.0)], 1.0)
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.2, 0.3, 0.5]])
+    def test_one_weight_per_component(self, weights):
+        with pytest.raises(ValueError, match="^weights and components disagree in length$"):
+            mixture_quantile(weights, [(0.0, 1.0, 5.0), (1.0, 1.0, 5.0)], 0.05)
 
 
 class TestBatchedKernels:
@@ -593,6 +627,15 @@ class TestBracketedNewton:
         np.testing.assert_array_equal(root, [1.0, 7.0, -3.0, 1.0])
         assert seen and all(set(rows) <= {0, 3} for rows in seen)
         np.testing.assert_array_equal(x, [0.5, 7.0, -3.0, 1.5])
+
+    def test_nan_values_never_converge(self):
+        # A NaN value moves neither bracket end, so each row is sent back to
+        # the same midpoint at every step until the step bound runs out.
+        def nan(x, rows):
+            return np.full_like(x, np.nan), np.ones_like(x)
+
+        with pytest.raises(RuntimeError, match="^bracketed Newton: 2 rows did not converge$"):
+            _bracketed_newton(nan, [0.5, 2.0, 5.0], [0.0, 1.0, 5.0], [1.0, 3.0, 5.0], 1e-12)
 
 
 class TestMixtureEs:
