@@ -1,9 +1,10 @@
 """Markov-switching Student-t models and joint tail-risk measures.
 
 Fits L-state multivariate Student-t regime-switching models to return
-panels, builds h-step-ahead predictive mixtures, computes Multiple-CoVaR /
-Multiple-CoES and their Delta variants, and attributes total co-risk
-across sectors with exact Shapley values.
+panels, builds one-step-ahead predictive mixtures from the filtered
+probabilities, computes Multiple-CoVaR / Multiple-CoES and their Delta
+variants, and attributes total co-risk across sectors with exact Shapley
+values.
 
 scipy.special is imported inside the functions that call it, never at
 module level, and only a t CDF or quantile (risk, shapley) or a

@@ -145,8 +145,7 @@ class AttributionSeries:
 
 
 def attribution_series(fit: FitResult, measure: str = "covar", tau1: float = 0.05,
-                       tau2: float = 0.05, *, h: int = 1, probs: str = "filtered",
-                       targets=None) -> AttributionSeries:
+                       tau2: float = 0.05, *, targets=None) -> AttributionSeries:
     """Shapley attribution at every in-sample time index.
 
     Emits one share series per (target, contributor) pair plus the
@@ -154,7 +153,7 @@ def attribution_series(fit: FitResult, measure: str = "covar", tau1: float = 0.0
     date is one co-risk engine call.  Each target is a series index, an int
     in the result (a fractional one is a TypeError), and may appear only once.
     """
-    engine = CoRiskEngine.from_fit(fit, h, probs)
+    engine = CoRiskEngine.from_fit(fit)
     p = engine.dim
     targets = tuple(range(p) if targets is None else (_check_index(i, p) for i in targets))
     for n, i in enumerate(targets):
@@ -174,12 +173,10 @@ def attribution_series(fit: FitResult, measure: str = "covar", tau1: float = 0.0
 
 
 def vis_a_vis(fit: FitResult, pair, measure: str = "covar", tau1: float = 0.05,
-              tau2: float = 0.05, *, h: int = 1, probs: str = "filtered"):
+              tau2: float = 0.05):
     """Paired share series for two distinct sectors: (share of b on a, share of a on b)."""
     a, b = pair
-    series = attribution_series(
-        fit, measure, tau1, tau2, h=h, probs=probs, targets=(a, b)
-    )
+    series = attribution_series(fit, measure, tau1, tau2, targets=(a, b))
     return series.shares[(a, b)], series.shares[(b, a)]
 
 

@@ -42,15 +42,12 @@ def _add_corisk(sub, measures, measure):
     sub.add_argument("--model", required=True, help="fitted model JSON")
     sub.add_argument("--tau1", type=float, default=0.05)
     sub.add_argument("--tau2", type=float, default=0.05)
-    sub.add_argument("--horizon", type=int, default=1)
     sub.add_argument("--measure", choices=measures, default=measure)
-    sub.add_argument("--probs", choices=("filtered", "smoothed"), default="filtered")
 
 
 def _corisk_query(args) -> dict:
-    """The co-risk keywords (measure, tau1, tau2, h, probs) of parsed risk or shapley flags."""
-    return dict(measure=args.measure, tau1=args.tau1, tau2=args.tau2, h=args.horizon,
-                probs=args.probs)
+    """The co-risk keywords (measure, tau1, tau2) of parsed risk or shapley flags."""
+    return dict(measure=args.measure, tau1=args.tau1, tau2=args.tau2)
 
 
 def _build_parser():

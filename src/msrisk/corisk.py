@@ -31,7 +31,7 @@ import numpy as np
 
 from .markov import FitResult, MsTModel
 from .panel import _write_blocks
-from .predictive import PredictiveMixture, predictive_weight_path
+from .predictive import PredictiveMixture, predictive_weights
 from .studentt import (
     _check_levels,
     _check_nu,
@@ -49,10 +49,11 @@ from .studentt import (
 
 MEASURES = ("covar", "coes")
 
-# (date, family, target, coalition, component) cells of one block of dates of
-# a coalition batch.  Measured on attribution_series at T=8000, L=3, p=5: peak
-# RSS 268 MB at 1 << 20 and 101 MB here, at equal time; smaller budgets lower
-# neither (the marginal level solve holds the rest of the peak).
+# Cells of one block of dates of a batched solve: (date, family, target,
+# coalition, component) of a coalition batch, (date, series, tau, component)
+# of a marginal level solve.  Measured on attribution_series at T=8000, L=3,
+# p=5 with only coalitions blocked: peak RSS 268 MB at 1 << 20 and 101 MB
+# here, at equal time; smaller budgets lowered neither.
 ROW_BUDGET = 1 << 16
 
 
@@ -159,9 +160,9 @@ class CoRiskEngine:
         self._log_const = _mvt_log_norm(self.nu, d, logdet)[:, None]  # p x 1 x L
 
     @classmethod
-    def from_fit(cls, fit: FitResult, h: int = 1, probs: str = "filtered"):
-        """Engine over the h-step predictive mixture at every in-sample date."""
-        return cls(predictive_weight_path(fit, h, probs), fit.model.regimes)
+    def from_fit(cls, fit: FitResult):
+        """Engine over each date's one-step-ahead predictive mixture (filtered probabilities)."""
+        return cls(predictive_weights(fit.filtered, fit.model.transition), fit.model.regimes)
 
     @classmethod
     def from_mixture(cls, mix: PredictiveMixture):
@@ -172,31 +173,39 @@ class CoRiskEngine:
     def dim(self) -> int:
         return self.mu.shape[1]
 
+    def _date_blocks(self, cells: int):
+        """Slices of consecutive dates holding at most ROW_BUDGET cells, cells per date."""
+        step = max(1, ROW_BUDGET // max(1, cells))
+        return [slice(lo, lo + step) for lo in range(0, self.weights.shape[0], step)]
+
     def solve_levels(self, taus, es: bool = False) -> None:
         """Marginal VaR (and with es, ES) of every date and series at each uncached tau.
 
         The VaR levels of all new taus are one batched root, their ES levels
-        one batched truncated mean.  With es, every component's nu must
-        exceed 1, which is checked before any root.
+        one batched truncated mean, each per block of dates.  With es, every
+        component's nu must exceed 1, which is checked before any root.
         """
         _check_levels(taus)
         if es:
             _check_nu(self.nu, 1.0, "ES")
         taus = sorted({float(t) for t in taus})
-        # (date, series, tau) rows of the T marginal mixtures
-        rows = (self.weights[:, None, None, :], self.mu.T[None, :, None, :],
-                self.sd.T[None, :, None, :], self.nu)
-        new = [t for t in taus if ("var", t) not in self._levels]
-        if new:
-            q = batched_mixture_quantile(*rows, np.array(new))
+        t_len, n_comp = self.weights.shape
+        mu, sd = self.mu.T[None, :, None, :], self.sd.T[None, :, None, :]
+        for kind in ("var", "es") if es else ("var",):
+            new = [t for t in taus if (kind, t) not in self._levels]
+            if not new:
+                continue
+            out = np.empty((t_len, self.dim, len(new)))
+            for dates in self._date_blocks(self.dim * len(new) * n_comp):
+                # (date, series, tau) rows of the marginal mixtures of these dates
+                rows = (self.weights[dates, None, None, :], mu, sd, self.nu)
+                if kind == "var":
+                    out[dates] = batched_mixture_quantile(*rows, np.array(new))
+                else:
+                    cut = np.stack([self._levels["var", t][dates] for t in new], axis=-1)
+                    out[dates] = batched_mixture_truncated_mean(*rows, cut)
             for k, tau in enumerate(new):
-                self._levels["var", tau] = q[:, :, k]
-        new = [t for t in taus if es and ("es", t) not in self._levels]
-        if new:
-            cut = np.stack([self._levels["var", t] for t in new], axis=-1)
-            tail = batched_mixture_truncated_mean(*rows, cut)
-            for k, tau in enumerate(new):
-                self._levels["es", tau] = tail[:, :, k]
+                self._levels[kind, tau] = out[:, :, k]
 
     def level(self, kind: str, tau: float) -> np.ndarray:
         """T x p marginal VaR ('var') or ES ('es') levels at tau."""
@@ -271,11 +280,8 @@ class CoRiskEngine:
         coes = [f for f, m in enumerate(measures) if m == "coes"]
         t_len, n_comp = self.weights.shape
         out = np.empty((t_len, len(measures), targets.size, masks.shape[0]))
-        cells = len(measures) * targets.size * len(masks) * n_comp
-        step = max(1, ROW_BUDGET // max(1, cells))
         nu = self.nu + d
-        for lo in range(0, t_len, step):
-            dates = slice(lo, lo + step)
+        for dates in self._date_blocks(len(measures) * targets.size * len(masks) * n_comp):
             x = np.where(masks, distress[dates, :, :, None, :], normal[dates, :, :, None, :])
             w, loc, scale = self._conditional(targets, x, dates)
             block = out[dates]
@@ -373,17 +379,18 @@ def delta_m_coes(mix: PredictiveMixture, q: RiskQuery) -> float:
 
 
 def total_risk_series(fit: FitResult, measure: str = "both", tau1: float = 0.05,
-                      tau2: float = 0.05, *, h: int = 1, probs: str = "filtered"):
+                      tau2: float = 0.05):
     """Per-sector total risk: the Multiple measure with every other sector distressed.
 
-    Returns one RiskSeries per sector, evaluated on the h-step predictive
-    mixture at each in-sample time index.  measure selects which of the
-    CoVaR / CoES families to compute ('covar', 'coes' or 'both'); marginal
-    VaR/ES at tau1 are always included.
+    Returns one RiskSeries per sector, evaluated on the one-step-ahead
+    predictive mixture from the filtered probabilities at each in-sample
+    time index.  measure selects which of the CoVaR / CoES families to
+    compute ('covar', 'coes' or 'both'); marginal VaR/ES at tau1 are always
+    included.
     """
     if measure not in ("covar", "coes", "both"):
         raise ValueError("measure must be 'covar', 'coes' or 'both'")
-    engine = CoRiskEngine.from_fit(fit, h, probs)
+    engine = CoRiskEngine.from_fit(fit)
     p = engine.dim
     families = MEASURES if measure == "both" else (measure,)
     # grand coalition and the all-at-median baseline
@@ -434,8 +441,7 @@ def marginalize_fit(fit: FitResult, indices) -> FitResult:
 
 
 def standard_pairwise_delta(fit_bivariate: FitResult, target: int, measure: str = "covar",
-                            tau1: float = 0.05, tau2: float = 0.05, *, h: int = 1,
-                            probs: str = "filtered") -> np.ndarray:
+                            tau1: float = 0.05, tau2: float = 0.05) -> np.ndarray:
     """Standard (single-conditioner) Delta series from a bivariate fit.
 
     target is the column (0 or 1) of the bivariate model whose risk is
@@ -445,7 +451,7 @@ def standard_pairwise_delta(fit_bivariate: FitResult, target: int, measure: str 
     """
     if fit_bivariate.model.dim != 2:
         raise ValueError("standard pairwise Delta needs a bivariate model")
-    engine = CoRiskEngine.from_fit(fit_bivariate, h, probs)
+    engine = CoRiskEngine.from_fit(fit_bivariate)
     values = engine.coalition_values((target,), (measure,), tau1, tau2, [[True], [False]])
     return values[:, 0, 0, 0] - values[:, 0, 0, 1]
 

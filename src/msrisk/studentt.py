@@ -345,13 +345,6 @@ def condition_mvt(p: MvtParams, cond_idx, cond_values) -> MvtParams:
     return MvtParams(mu_c, sigma_c, p.nu + d)
 
 
-def univariate(p: MvtParams):
-    """(mu, scale, nu) triple of a one-dimensional MvtParams."""
-    if p.dim != 1:
-        raise ValueError("expected a univariate distribution")
-    return float(p.mu[0]), float(np.sqrt(p.sigma[0, 0])), p.nu
-
-
 def _mixture_arrays(weights, comps):
     w = np.asarray(weights, dtype=float)
     rows = [(float(m), float(s), float(n)) for (m, s, n) in comps]

@@ -19,6 +19,13 @@ def mvt_mahalanobis(x, p: MvtParams):
     return _one_regime(x, p)[1]
 
 
+def univariate(p: MvtParams):
+    """(mu, scale, nu) triple of a one-dimensional MvtParams."""
+    if p.dim != 1:
+        raise ValueError("expected a univariate distribution")
+    return float(p.mu[0]), float(np.sqrt(p.sigma[0, 0])), p.nu
+
+
 def random_pd(rng, k, scale=1.0):
     """Random well-conditioned positive-definite k x k matrix."""
     a = rng.normal(size=(k, k))
@@ -51,7 +58,7 @@ def random_mixture(rng, L, p, scale=0.02, nu_range=(4.0, 20.0)):
     ]
     w = rng.uniform(0.2, 1.0, size=L)
     w /= w.sum()
-    return PredictiveMixture(weights=w, components=comps, horizon=1, as_of=0)
+    return PredictiveMixture(weights=w, components=comps)
 
 
 def shift_mixture(mix, i, c):
@@ -61,9 +68,7 @@ def shift_mixture(mix, i, c):
         mu = comp.mu.copy()
         mu[i] += c
         comps.append(MvtParams(mu, comp.sigma, comp.nu))
-    return PredictiveMixture(
-        weights=mix.weights, components=comps, horizon=mix.horizon, as_of=mix.as_of
-    )
+    return PredictiveMixture(weights=mix.weights, components=comps)
 
 
 def scale_mixture(mix, c):
@@ -71,6 +76,4 @@ def scale_mixture(mix, c):
     comps = [
         MvtParams(c * comp.mu, c * c * comp.sigma, comp.nu) for comp in mix.components
     ]
-    return PredictiveMixture(
-        weights=mix.weights, components=comps, horizon=mix.horizon, as_of=mix.as_of
-    )
+    return PredictiveMixture(weights=mix.weights, components=comps)

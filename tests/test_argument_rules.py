@@ -12,7 +12,6 @@ import pytest
 
 from msrisk import (
     MvtParams,
-    PredictiveMixture,
     build_predictive,
     condition_mvt,
     grid_conditional_quantile,
@@ -99,8 +98,6 @@ INDEX_ENTRY_POINTS = {
                                    "series index 0.0"),
     "marginal_var": (lambda: marginal_var(_mixture(), 1.5, 0.05), "series index 1.5"),
     "build_predictive": (lambda: build_predictive(_fit(), 1.5), "time index 1.5"),
-    "PredictiveMixture": (lambda: PredictiveMixture([1.0], [_MVT], horizon=1, as_of=-3.7),
-                          "as_of -3.7"),
     "grid_conditional_quantile": (lambda: grid_conditional_quantile(_MVT, [1.0], [0.0], 0.05),
                                   "cond_idx 1.0"),
 }

@@ -580,6 +580,23 @@ class TestSeedFlag:
         assert ("--seed" in capsys.readouterr().out) == has_seed
 
 
+class TestPredictiveLawFlags:
+    """risk and shapley read one law, the one-step-ahead predictive mixture
+    from the filtered probabilities, and take no flag that would choose another."""
+
+    @pytest.mark.parametrize("command", ["risk", "shapley"])
+    @pytest.mark.parametrize("flag", [["--horizon", "2"], ["--probs", "smoothed"]],
+                             ids=["horizon", "probs"])
+    def test_rejected(self, sim_dir, tmp_path, capsys, command, flag):
+        argv = [command, "--input", str(sim_dir / "panel.csv"),
+                "--model", str(sim_dir / "truth_model.json"), "--out", str(tmp_path), *flag]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 def test_import_leaves_scipy_linalg_unloaded():
     # A fresh interpreter, since the test suite imports scipy.linalg itself:
     # numpy.linalg is the package's one linear-algebra backend.

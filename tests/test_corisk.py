@@ -47,7 +47,6 @@ from msrisk.studentt import (
     condition_mvt,
     marginal_mvt,
     mvt_logpdf,
-    univariate,
 )
 
 from helpers import (
@@ -56,11 +55,12 @@ from helpers import (
     random_model,
     scale_mixture,
     shift_mixture,
+    univariate,
 )
 
 
 def single_mixture(comp):
-    return PredictiveMixture([1.0], [comp], horizon=1, as_of=0)
+    return PredictiveMixture([1.0], [comp])
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +219,9 @@ def oracle_coalition_values(engine, target, measure, tau1, tau2, masks):
     return batched_mixture_truncated_mean(w, loc, scale, nu, cut)
 
 
-def oracle_total_risk_series(fit, measure, tau1, tau2, h, probs):
+def oracle_total_risk_series(fit, measure, tau1, tau2):
     """Per target, a dict of the RiskSeries fields, one family and target at a time."""
-    engine = CoRiskEngine.from_fit(fit, h, probs)
+    engine = CoRiskEngine.from_fit(fit)
     p = engine.dim
     masks = [[True] * (p - 1), [False] * (p - 1)]
     out = []
@@ -239,9 +239,9 @@ def oracle_total_risk_series(fit, measure, tau1, tau2, h, probs):
     return out
 
 
-def oracle_attribution_series(fit, measure, tau1, tau2, h, probs):
+def oracle_attribution_series(fit, measure, tau1, tau2):
     """(shares, grand) dicts of the Shapley attribution, one target at a time."""
-    engine = CoRiskEngine.from_fit(fit, h, probs)
+    engine = CoRiskEngine.from_fit(fit)
     p = engine.dim
     shares, grand = {}, {}
     for i in range(p):
@@ -313,7 +313,7 @@ class TestMarginals:
             MvtParams([0.3, -0.1], np.diag([1.0, 2.0]) * s, nu)
             for s, nu in ((1.0, 4.0), (3.0, 9.0))
         ]
-        mix = PredictiveMixture([0.4, 0.6], comps, horizon=1, as_of=0)
+        mix = PredictiveMixture([0.4, 0.6], comps)
         assert abs(marginal_var(mix, 0, 0.5) - 0.3) < 1e-10
         assert abs(marginal_var(mix, 1, 0.5) - (-0.1)) < 1e-10
 
@@ -374,7 +374,7 @@ class TestConditionalMixture:
             if L > 1:
                 w = mix.weights.copy()
                 w[rng.integers(L)] = 0.0
-                mix = PredictiveMixture(w / w.sum(), mix.components, horizon=1, as_of=0)
+                mix = PredictiveMixture(w / w.sum(), mix.components)
             target = int(rng.integers(k))
             others = rng.permutation([j for j in range(k) if j != target])
             cond_idx = [int(j) for j in others[: rng.integers(1, k)]]
@@ -426,8 +426,6 @@ class TestMultipleCovar:
         mix = single_mixture(comp)
         q = RiskQuery(0, (1, 2), tau1=0.5, tau2=0.05)
         # tau1 = 0.5 picks the symmetric conditional's location.
-        from msrisk.studentt import condition_mvt, univariate
-
         levels = [marginal_var(mix, j, 0.05) for j in (1, 2)]
         mu_c, _, _ = univariate(condition_mvt(comp, [1, 2], levels))
         assert abs(multiple_covar(mix, q) - mu_c) < 1e-10
@@ -459,8 +457,6 @@ class TestMultipleCoes:
     def test_symmetric_single_component_closed_form(self):
         comp = MvtParams([0.5, 0.0], [[1.0, 0.4], [0.4, 1.0]], 6.0)
         mix = single_mixture(comp)
-        from msrisk.studentt import condition_mvt, univariate
-
         level = marginal_es(mix, 1, 0.05)
         mu_c, s_c, nu_c = univariate(condition_mvt(comp, [1], [level]))
         got = multiple_coes(mix, RiskQuery(0, (1,), tau1=0.5, tau2=0.05))
@@ -646,40 +642,40 @@ class TestBatchedEngine:
         fit, rng = engine_fit(3000 + 10 * L + p, L, p)
         tau1, tau2 = (float(t) for t in rng.uniform(0.02, 0.2, size=2))
         masks = coalition_masks(p - 1)
-        for h in (1, 3):
-            for probs in ("filtered", "smoothed"):
-                for measure in ("covar", "coes", "both"):
-                    assert_series_equal(
-                        total_risk_series(fit, measure, tau1, tau2, h=h, probs=probs),
-                        oracle_total_risk_series(fit, measure, tau1, tau2, h, probs),
-                    )
-                for measure in MEASURES:
-                    assert_attribution_equal(
-                        attribution_series(fit, measure, tau1, tau2, h=h, probs=probs),
-                        *oracle_attribution_series(fit, measure, tau1, tau2, h, probs),
-                    )
-                engine = CoRiskEngine.from_fit(fit, h, probs)
-                for measures in (("covar",), ("coes",), ("coes", "covar")):
-                    got = engine.coalition_values(range(p), measures, tau1, tau2, masks)
-                    assert got.shape == (12, len(measures), p, len(masks))
-                    for f, measure in enumerate(measures):
-                        for i in range(p):
-                            want = oracle_coalition_values(engine, i, measure, tau1, tau2, masks)
-                            np.testing.assert_array_equal(got[:, f, i], want)
+        for measure in ("covar", "coes", "both"):
+            assert_series_equal(
+                total_risk_series(fit, measure, tau1, tau2),
+                oracle_total_risk_series(fit, measure, tau1, tau2),
+            )
+        for measure in MEASURES:
+            assert_attribution_equal(
+                attribution_series(fit, measure, tau1, tau2),
+                *oracle_attribution_series(fit, measure, tau1, tau2),
+            )
+        engine = CoRiskEngine.from_fit(fit)
+        for measures in (("covar",), ("coes",), ("coes", "covar")):
+            got = engine.coalition_values(range(p), measures, tau1, tau2, masks)
+            assert got.shape == (12, len(measures), p, len(masks))
+            for f, measure in enumerate(measures):
+                for i in range(p):
+                    want = oracle_coalition_values(engine, i, measure, tau1, tau2, masks)
+                    np.testing.assert_array_equal(got[:, f, i], want)
 
     def test_date_blocks_split_mid_sample(self, monkeypatch):
         fit, _ = engine_fit(3100, 2, 4)
         # 2 families x 4 targets x 2 coalitions x 2 components per date: blocks
         # of 5 dates for the total risk series and of 2 for the attribution.
+        # The marginal levels, 4 series x 2 taus x 2 components per date, are
+        # solved in blocks of 10 dates.
         monkeypatch.setattr(corisk, "ROW_BUDGET", 5 * 32)
         assert_series_equal(
-            total_risk_series(fit, "both", h=3, probs="smoothed"),
-            oracle_total_risk_series(fit, "both", 0.05, 0.05, 3, "smoothed"),
+            total_risk_series(fit, "both"),
+            oracle_total_risk_series(fit, "both", 0.05, 0.05),
         )
         for measure in MEASURES:
             assert_attribution_equal(
                 attribution_series(fit, measure),
-                *oracle_attribution_series(fit, measure, 0.05, 0.05, 1, "filtered"),
+                *oracle_attribution_series(fit, measure, 0.05, 0.05),
             )
 
     def test_target_subsets_match_full_run(self):
@@ -773,7 +769,7 @@ class TestEsNeedsNuAboveOne:
     def mixture():
         mix = random_mixture(np.random.default_rng(3640), 3, 3)
         comps = [MvtParams(c.mu, c.sigma, nu) for c, nu in zip(mix.components, (5.0, 0.8, 1.0))]
-        return PredictiveMixture(mix.weights, comps, horizon=1, as_of=0)
+        return PredictiveMixture(mix.weights, comps)
 
     @pytest.mark.parametrize("call", [
         lambda mix: CoRiskEngine.from_mixture(mix).level("es", 0.05),
@@ -798,7 +794,7 @@ class TestEsNeedsNuAboveOne:
     def test_marginal_es_checks_before_its_root(self, monkeypatch):
         mix = random_mixture(np.random.default_rng(3641), 2, 2)
         comps = [MvtParams(c.mu, c.sigma, nu) for c, nu in zip(mix.components, (5.0, 0.8))]
-        mix = PredictiveMixture(mix.weights, comps, horizon=1, as_of=0)
+        mix = PredictiveMixture(mix.weights, comps)
         calls, real = [], studentt.batched_mixture_quantile
 
         def counted(*args, **kwargs):

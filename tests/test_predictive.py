@@ -27,71 +27,33 @@ def random_stochastic(rng, L):
 class TestPredictiveWeights:
     def test_identity_chain_fixed_point(self):
         pi = np.array([0.2, 0.5, 0.3])
-        for h in (1, 5, 100):
-            np.testing.assert_allclose(
-                predictive_weights(pi, np.eye(3), h), pi, atol=1e-14
-            )
+        np.testing.assert_allclose(predictive_weights(pi, np.eye(3)), pi, atol=1e-14)
 
     def test_vertex_start_gives_transition_row(self):
         rng = np.random.default_rng(40)
         q = random_stochastic(rng, 3)
         np.testing.assert_allclose(
-            predictive_weights([0.0, 1.0, 0.0], q, 1), q[1], atol=1e-14
+            predictive_weights([0.0, 1.0, 0.0], q), q[1], atol=1e-14
         )
-
-    def test_long_horizon_reaches_stationary(self):
-        rng = np.random.default_rng(41)
-        q = random_stochastic(rng, 4)
-        # Stationary law from the left-eigenvector linear system.
-        a = np.vstack([q.T - np.eye(4), np.ones(4)])
-        b = np.concatenate([np.zeros(4), [1.0]])
-        pi_inf, *_ = np.linalg.lstsq(a, b, rcond=None)
-        got = predictive_weights(rng.dirichlet(np.ones(4)), q, 10_000)
-        np.testing.assert_allclose(got, pi_inf, atol=1e-8)
 
     def test_chapman_kolmogorov(self):
         rng = np.random.default_rng(42)
         q = random_stochastic(rng, 3)
         pi = rng.dirichlet(np.ones(3))
-        direct = predictive_weights(pi, q, 7)
-        composed = predictive_weights(predictive_weights(pi, q, 3), q, 4)
-        np.testing.assert_allclose(direct, composed, atol=1e-12)
-
-    def test_rejects_zero_horizon(self):
-        with pytest.raises(ValueError):
-            predictive_weights([1.0], np.eye(1), 0)
+        two_steps = pi @ np.linalg.matrix_power(q, 2)
+        composed = predictive_weights(predictive_weights(pi, q), q)
+        np.testing.assert_allclose(two_steps, composed, atol=1e-12)
 
     def test_rejects_non_simplex(self):
         with pytest.raises(ValueError):
-            predictive_weights([0.7, 0.7], np.eye(2), 1)
+            predictive_weights([0.7, 0.7], np.eye(2))
 
     @pytest.mark.parametrize("q", [np.eye(3), [[0.5, 0.5]], [0.5, 0.5]])
     def test_transition_must_be_square_over_the_states(self, q):
         shape = np.atleast_2d(q).shape
         with pytest.raises(ValueError, match=re.escape(f"transition matrix must be 2x2, got "
                                                        f"shape {shape}")):
-            predictive_weights([0.5, 0.5], q, 1)
-
-
-# Every entry point that takes a horizon, called with it
-HORIZON_ENTRY_POINTS = {
-    "predictive_weights": lambda h: predictive_weights([0.5, 0.5], np.eye(2), h),
-    "PredictiveMixture": lambda h: PredictiveMixture(
-        [1.0], [MvtParams([0.0], [[1.0]], 5.0)], horizon=h, as_of=0),
-    "build_predictive": lambda h: build_predictive(
-        fit_from_model(random_model(np.random.default_rng(47), 2, 2), np.zeros((5, 2))), 0, h),
-}
-
-
-@pytest.mark.parametrize("h, message", [
-    (1.5, "^horizon must be an integer, got 1.5$"),
-    (2.0, "^horizon must be an integer, got 2.0$"),
-    (0, "^horizon must be >= 1$"),
-])
-@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRY_POINTS))
-def test_horizon_is_an_integer_of_at_least_one(entry, h, message):
-    with pytest.raises(ValueError, match=message):
-        HORIZON_ENTRY_POINTS[entry](h)
+            predictive_weights([0.5, 0.5], q)
 
 
 class TestBuildPredictive:
@@ -110,10 +72,10 @@ class TestBuildPredictive:
 
     def test_weights_are_pure_chain_computation(self):
         fit = self.build_fit(44)
-        mix = build_predictive(fit, 10, h=3)
+        mix = build_predictive(fit, 10)
         np.testing.assert_allclose(
             mix.weights,
-            predictive_weights(fit.filtered[10], fit.model.transition, 3),
+            predictive_weights(fit.filtered[10], fit.model.transition),
             atol=1e-14,
         )
 
@@ -147,25 +109,10 @@ class TestBuildPredictive:
         mean_y = np.trapezoid(np.trapezoid(gy * dens, xs, axis=1), xs)
         np.testing.assert_allclose([mean_x, mean_y], analytic, atol=1e-3 * scale)
 
-    def test_probs_flavor(self):
-        fit = self.build_fit(47)
-        mix_f = build_predictive(fit, 8, probs="filtered")
-        mix_s = build_predictive(fit, 8, probs="smoothed")
-        np.testing.assert_allclose(
-            mix_s.weights,
-            predictive_weights(fit.smoothed[8], fit.model.transition, 1),
-            atol=1e-14,
-        )
-        assert not np.allclose(mix_f.weights, mix_s.weights)
-
     def test_time_index_bounds(self):
         fit = self.build_fit(48)
         with pytest.raises(IndexError):
             build_predictive(fit, 30)
-        with pytest.raises(ValueError):
-            build_predictive(fit, 0, h=0)
-        with pytest.raises(ValueError):
-            build_predictive(fit, 0, probs="exact")
 
 
 class TestPredictiveMixtureValidation:
@@ -173,17 +120,14 @@ class TestPredictiveMixtureValidation:
         rng = np.random.default_rng(49)
         comp = random_mvt(rng, 2, nu=5.0)
         with pytest.raises(ValueError):
-            PredictiveMixture([0.5, 0.5], [comp], horizon=1, as_of=0)
+            PredictiveMixture([0.5, 0.5], [comp])
 
     def test_rejects_dim_mismatch(self):
         rng = np.random.default_rng(50)
         with pytest.raises(ValueError, match="dimension"):
             PredictiveMixture(
                 [0.5, 0.5],
-                [random_mvt(rng, 2, nu=5.0), random_mvt(rng, 3, nu=5.0)],
-                horizon=1,
-                as_of=0,
-            )
+                [random_mvt(rng, 2, nu=5.0), random_mvt(rng, 3, nu=5.0)])
 
 
 # Every entry point that takes probability rows, fed one row of two states
@@ -195,12 +139,12 @@ PROBABILITY_ROW_ENTRY_POINTS = {
                             "row 1 of transition matrix Q", "1e-12"),
     "MsTModel-initial": (lambda row: MsTModel([_REG, _REG], np.eye(2), row),
                          "initial distribution delta", "1e-12"),
-    "PredictiveMixture": (lambda row: PredictiveMixture(row, [_REG, _REG], horizon=1, as_of=0),
+    "PredictiveMixture": (lambda row: PredictiveMixture(row, [_REG, _REG]),
                           "predictive mixture weights", "1e-12"),
-    "predictive_weights": (lambda row: predictive_weights([[0.5, 0.5], row], np.eye(2), 1),
+    "predictive_weights": (lambda row: predictive_weights([[0.5, 0.5], row], np.eye(2)),
                            "row 1 of the filtered probabilities", "1e-10"),
     "predictive_weights-transition": (
-        lambda row: predictive_weights([0.5, 0.5], [[0.5, 0.5], row], 1),
+        lambda row: predictive_weights([0.5, 0.5], [[0.5, 0.5], row]),
         "row 1 of transition matrix Q", "1e-12"),
     "CoRiskEngine": (lambda row: CoRiskEngine([[0.5, 0.5], row], [_REG, _REG]),
                      "weights at date 1", "1e-10"),

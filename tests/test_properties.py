@@ -20,13 +20,9 @@ from msrisk import (
     total_risk_series,
 )
 from msrisk.markov import _scan_rows
-from msrisk.studentt import (
-    batched_mixture_quantile,
-    condition_mvt,
-    univariate,
-)
+from msrisk.studentt import batched_mixture_quantile, condition_mvt
 
-from helpers import mixture_cdf
+from helpers import mixture_cdf, univariate
 
 taus = st.floats(min_value=0.001, max_value=0.999)
 dfs = st.floats(min_value=1.0, max_value=200.0)
@@ -173,7 +169,7 @@ def test_characteristic_values_match_scalar_oracle(comps, tau1, tau2, measure, d
     w = simplex(data.draw, len(comps))
     p = comps[0].dim
     target = data.draw(st.integers(min_value=0, max_value=p - 1))
-    mix = PredictiveMixture(w, comps, horizon=1, as_of=0)
+    mix = PredictiveMixture(w, comps)
     cmap = characteristic_values(mix, target, measure, tau1, tau2)
     base = oracle_measure(w, comps, target, set(), measure, tau1, tau2)
     for coalition, value in cmap.values.items():

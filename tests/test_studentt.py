@@ -37,10 +37,9 @@ from msrisk.studentt import (
     batched_mixture_truncated_mean,
     mixture_truncated_mean,
     t_lower_partial,
-    univariate,
 )
 
-from helpers import mixture_cdf, mvt_mahalanobis, random_mvt, random_pd
+from helpers import mixture_cdf, mvt_mahalanobis, random_mvt, random_pd, univariate
 
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 # `msrisk simulate` arguments of the benchmark's risk and shapley inputs at

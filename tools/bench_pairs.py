@@ -44,7 +44,9 @@ seconds (user + system) and its peak resident set in MB (ru_maxrss), both
 from os.wait4 on its pid, of every run, with their median and quartiles.
 Each side's source is recorded by the sha256 and the line count of its
 src/msrisk/*.py, in total (source_lines) and per file
-(source_lines_by_file).
+(source_lines_by_file).  The ENVIRONMENT variables, as this script's
+process found them (None where unset), are recorded under `environment`:
+every run it starts inherits them.
 
 This script's own process never imports msrisk: `import msrisk` sets
 OPENBLAS_NUM_THREADS in os.environ when no thread variable is set, and the
@@ -117,6 +119,10 @@ CHAIN = (
 )
 # Runs of the CHAIN per side, alternating which side goes first
 CHAIN_RUNS = 10
+# Variables the timings depend on: without bytecode caching every fresh
+# process compiles msrisk's source, and the BLAS ones set its thread pools.
+ENVIRONMENT = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX", "OPENBLAS_NUM_THREADS",
+               "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def source_digest(checkout: Path) -> str:
@@ -452,6 +458,7 @@ def main(argv=None) -> int:
         "command": perfbench_command("W"),
         "pairs": PAIRS,
         "order": "parent first on odd pairs, change first on even pairs",
+        "environment": {name: os.environ.get(name) for name in ENVIRONMENT},
         "source_sha256": {side: source_digest(path) for side, path in sides.items()},
         "source_lines": {side: sum(by_file.values()) for side, by_file in lines.items()},
         "source_lines_by_file": lines,
