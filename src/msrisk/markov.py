@@ -4,7 +4,7 @@ Forward-backward state inference by one work-efficient odd-even scan that
 serves both directions (about T matrix products up, then T vector-matrix
 products down for the forward rows and T for the backward columns; no
 T x L x L prefix array), AECM estimation (gamma-scale weighted moments
-and expected transition counts, then one batched Newton solve of every
+and expected transition counts, then one batched Halley solve of every
 regime's marginal-likelihood score in nu), information-criterion
 state-count selection, and JSON serialization of fitted models.
 Per-time reductions over the short state axis are matrix-vector products
@@ -369,36 +369,39 @@ def _nu_step(maha, w, nu_old, p):
     """Each regime's nu in [NU_MIN, NU_MAX] maximising sum_t w_t log t_p(y_t; mu, sigma, nu).
 
     maha (L x T) holds the Mahalanobis forms under (mu, sigma), w (L x T x 1)
-    the weights gamma / n, which sum to 1.  With r = maha / (nu + maha),
-    minus twice the score, psi(nu/2) - psi((nu+p)/2) + p/nu
-    + sum w log(1 + maha/nu) - (nu+p)/nu sum w r, has the slope
-    (psi'(nu/2) - psi'((nu+p)/2))/2 - (p - 2p sum w r + (nu+p) sum w r^2)/nu^2.
-    Both psi differences come from _digamma_gaps, the shift-and-asymptotic
-    forms of AS 103 (Bernardo 1976) and AS 121 (Schneider 1978) taken on the
-    differences themselves.  A regime whose score keeps its sign on the
-    bracket takes that bound; the others are solved by _bracketed_newton, to
-    1e-10.
+    the weights gamma / n, which sum to 1.  With r = maha / (nu + maha) and
+    S_k = sum w r^k, minus twice the score, psi(nu/2) - psi((nu+p)/2) + p/nu
+    + sum w log(1 + maha/nu) - (nu+p)/nu S_1, has the slope
+    (psi'(nu/2) - psi'((nu+p)/2))/2 - N/nu^2, N = p - 2p S_1 + (nu+p) S_2,
+    and, as dS_1/dnu = -(S_1 - S_2)/nu and dS_2/dnu = -2(S_2 - S_3)/nu, the
+    curvature (psi''(nu/2) - psi''((nu+p)/2))/4 - N'/nu^2 + 2N/nu^3.  The
+    psi differences come from _digamma_gaps, the shift-and-asymptotic forms
+    of AS 103 (Bernardo 1976) and AS 121 (Schneider 1978) taken on the
+    differences themselves.  _bracketed_newton solves each regime from its
+    nu_old, clipped to the bracket, to 1e-10; a regime whose score keeps its
+    sign on the bracket takes the bound its steps reach.
     """
     L = len(nu_old)
 
     def minus_score(nu, rows):
         m, col = maha[rows], nu[:, None]
-        terms = np.empty((len(m), 3, m.shape[1]))
+        terms = np.empty((len(m), 4, m.shape[1]))
         np.log1p(np.divide(m, col, out=terms[:, 0]), out=terms[:, 0])
         r = np.divide(m, np.add(col, m, out=terms[:, 1]), out=terms[:, 1])
         np.multiply(r, r, out=terms[:, 2])
-        sum_log, sum_r, sum_r2 = np.matmul(terms, w[rows])[..., 0].T
-        psi_gap, trigamma_gap = _digamma_gaps(0.5 * nu, 0.5 * p)
+        np.multiply(terms[:, 2], r, out=terms[:, 3])
+        sum_log, s1, s2, s3 = np.matmul(terms, w[rows])[..., 0].T
+        psi_gap, trigamma_gap, tetragamma_gap = _digamma_gaps(0.5 * nu, 0.5 * p)
         nu_p = nu + p
-        value = psi_gap + p / nu + sum_log - nu_p / nu * sum_r
-        slope = 0.5 * trigamma_gap - (p - 2.0 * p * sum_r + nu_p * sum_r2) / (nu * nu)
-        return value, slope
+        n = p - 2.0 * p * s1 + nu_p * s2
+        dn = s2 + 2.0 * (p * (s1 - s2) - nu_p * (s2 - s3)) / nu
+        value = psi_gap + p / nu + sum_log - nu_p / nu * s1
+        slope = 0.5 * trigamma_gap - n / (nu * nu)
+        curvature = 0.25 * tetragamma_gap - (dn - 2.0 * n / nu) / (nu * nu)
+        return value, slope, curvature
 
-    ends, _ = minus_score(np.repeat([NU_MIN, NU_MAX], L), np.tile(np.arange(L), 2))
-    at_min = ends[:L] >= 0.0
-    a = np.where(~at_min & (ends[L:] <= 0.0), NU_MAX, NU_MIN)
-    b = np.where(at_min, NU_MIN, NU_MAX)
-    return _bracketed_newton(minus_score, np.clip(nu_old, a, b), a, b, 1e-10)
+    a, b = np.full(L, NU_MIN), np.full(L, NU_MAX)
+    return _bracketed_newton(minus_score, np.clip(nu_old, NU_MIN, NU_MAX), a, b, 1e-10)
 
 
 def _m_step(y, params, smoothed, counts, maha):

@@ -123,9 +123,11 @@ def _label(value) -> str:
 
 
 def _cells(column) -> list:
-    """The cells of one column, formatted once per distinct label or per float."""
+    """The cells of one column: per float, per date, or once per distinct label."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return list(map(repr, column.tolist()))
+    if set(map(type, column)) <= {datetime.date}:
+        return list(map(datetime.date.isoformat, column))
     text = {value: _label(value) for value in dict.fromkeys(column)}
     return list(map(text.__getitem__, column))
 
@@ -136,14 +138,19 @@ def _write_csv(path, header, columns) -> None:
     Every CSV the package writes goes through here, and it writes the bytes
     csv.writer would for the same rows (``\\r\\n`` line ends, minimal quoting).
     The rows are given as columns of one length.  A float ndarray column is
-    written cell by cell as repr of the value, over one ``tolist()``; any
+    written cell by cell as repr of the value, over one ``tolist()``, and a
+    column of dates (exactly datetime.date) cell by cell in ISO form; any
     other column holds labels (dates, names, ints, floats, None), and each
     distinct label is formatted once: a date in ISO form, None as an empty
     cell, anything else as str(), quoted where csv would quote it.  The
     body is joined once and written once.  Private, so a traced run charges
     the write to the caller that built the columns.
     """
-    cells = [_cells(column) for column in columns]
+    _write_cells(path, header, [_cells(column) for column in columns])
+
+
+def _write_cells(path, header, cells) -> None:
+    """_write_csv of columns already formatted by _cells."""
     if len({len(column) for column in cells}) > 1:
         raise ValueError("CSV columns differ in length")
     lines = [",".join(map(_quoted, header)), *map(",".join, zip(*cells)), ""]
@@ -163,11 +170,11 @@ def _write_blocks(path, header, dates, blocks) -> None:
         return
     labels, series = zip(*blocks)
     t_len = len(dates)
-    _write_csv(path, header, [
-        tuple(dates) * len(blocks),
-        *(list(itertools.chain.from_iterable(itertools.repeat(v, t_len) for v in column))
+    _write_cells(path, header, [
+        _cells(dates) * len(blocks),
+        *(_cells(list(itertools.chain.from_iterable(itertools.repeat(v, t_len) for v in column)))
           for column in zip(*labels)),
-        *(np.concatenate(column, dtype=float) for column in zip(*series)),
+        *(_cells(np.concatenate(column, dtype=float)) for column in zip(*series)),
     ])
 
 

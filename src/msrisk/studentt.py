@@ -123,44 +123,51 @@ def _coordinates(idx, dim, name) -> np.ndarray:
     return np.array(idx)
 
 
-# psi(x) ~ log x - 1/(2x) - sum_k B_2k / (2k x^2k) and psi'(x) ~ 1/x + 1/(2x^2)
-# + sum_k B_2k / x^(2k+1), B_2k the Bernoulli numbers: the coefficient pairs
-# of k = 7 down to 1.  From x >= 10 the first terms left out are below 1e-16.
+# psi(x) ~ log x - 1/(2x) - sum_k B_2k / (2k x^2k), psi'(x) ~ 1/x + 1/(2x^2)
+# + sum_k B_2k / x^(2k+1) and psi''(x) ~ -1/x^2 - 1/x^3 - sum_k (2k+1) B_2k /
+# x^(2k+2), B_2k the Bernoulli numbers: the coefficient triples of k = 7 down
+# to 1.  From x >= 10 the first terms left out are below 1e-16 of the value.
 _PSI_SERIES = tuple(zip((1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12),
-                        (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)))[::-1]
+                        (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6),
+                        (1 / 2, -1 / 6, 1 / 6, -3 / 10, 5 / 6, -691 / 210, 35 / 2)))[::-1]
 
 
 def _digamma_gaps(a, m):
-    """(psi(a) - psi(a + m), psi'(a) - psi'(a + m)) as two arrays, for a > 0 (1-d) and m > 0.
+    """psi, psi' and psi'' at a minus the same at a + m: three arrays, for a > 0 (1-d), m > 0.
 
     As in AS 103 (Bernardo 1976, Appl. Statist. 25, 315-317) and AS 121
     (Schneider 1978, Appl. Statist. 27, 97-99), an argument below 10 is
-    shifted up by psi(x) = psi(x + 1) - 1/x and psi'(x) = psi'(x + 1) + 1/x^2
-    and the asymptotic series is taken there.  Both arguments shift by the
-    same count, so each step adds -m / (x (x + m)) and m (2x + m) / (x (x +
-    m))^2, whose signs never alternate, and the series are differenced with
-    log x - log(x + m) as -log1p(m / x): nothing cancels.  Within a few ulp
-    of max(1, |value|).  Scalar math in a loop over a beats numpy calls on
-    the at most 2L values of a nu step.
+    shifted up by psi(x) = psi(x + 1) - 1/x, psi'(x) = psi'(x + 1) + 1/x^2
+    and psi''(x) = psi''(x + 1) - 2/x^3, and the asymptotic series is taken
+    there.  Both arguments shift by the same count, so each step adds -m /
+    (x (x + m)), m (2x + m) / (x (x + m))^2 and -2m (3x^2 + 3xm + m^2) /
+    (x (x + m))^3, whose signs never alternate, and the series are
+    differenced with log x - log(x + m) as -log1p(m / x): nothing cancels.
+    Within a few ulp of max(1, |value|).  Scalar math in a loop over a beats
+    numpy calls on the at most 2L values of a nu step.
     """
-    psi, tri = [], []
+    psi, tri, tet = [], [], []
     for x in a.tolist():
-        d_psi = d_tri = 0.0
+        d_psi = d_tri = d_tet = 0.0
         while x < 10.0:
             q = 1.0 / (x * (x + m))
             d_psi -= m * q
             d_tri += m * (2.0 * x + m) * q * q
+            d_tet -= 2.0 * m * (3.0 * x * (x + m) + m * m) * q * q * q
             x += 1.0
         y = x + m
         sx, sy = 1.0 / (x * x), 1.0 / (y * y)
-        px = py = tx = ty = 0.0
-        for c_psi, c_tri in _PSI_SERIES:
+        px = py = tx = ty = ux = uy = 0.0
+        for c_psi, c_tri, c_tet in _PSI_SERIES:
             px, py = px * sx + c_psi, py * sy + c_psi
             tx, ty = tx * sx + c_tri, ty * sy + c_tri
+            ux, uy = ux * sx + c_tet, uy * sy + c_tet
         q = m / (x * y)
         psi.append(d_psi - math.log1p(m / x) - 0.5 * q - (px * sx - py * sy))
         tri.append(d_tri + q + 0.5 * q * (x + y) / (x * y) + (tx * sx / x - ty * sy / y))
-    return np.array(psi), np.array(tri)
+        tet.append(d_tet - q * (x + y) / (x * y) - q * (x * x + x * y + y * y) / (x * y) ** 2
+                   - (ux * sx * sx - uy * sy * sy))
+    return np.array(psi), np.array(tri), np.array(tet)
 
 
 # _log_gamma_ratio shifts its arguments by _GAMMA_SHIFT, where the Stirling
@@ -379,34 +386,52 @@ _MAX_STEPS = 200
 
 
 def _bracketed_newton(fun, x, a, b, xtol):
-    """Roots of increasing functions, one per row, by safeguarded Newton steps.
+    """Roots of increasing functions, one per row, by safeguarded Halley steps.
 
-    fun(x, rows) gives values and slopes at x of the rows indexed by rows.
-    Row i starts at x[i] in [a[i], b[i]]; a row with a == b keeps its x.  The
-    bracket shrinks to the sign change and is bisected when a Newton step
-    leaves it or fails to halve the previous step.  A row stops once its
-    step or bracket is within 4 eps |x| + xtol (scalar or per row).
+    fun(x, rows) gives the values g, slopes d and curvatures c at x of the
+    rows indexed by rows.  A step is Halley's, g / (d - g c / (2 d)), or
+    Newton's, g / d, where that correction exceeds half of d (far from the
+    root, or where d underflows).  Row i starts at x[i] in [a[i], b[i]]; a
+    row with a == b keeps its x.  An end is evaluated only when a step
+    reaches it, and a row whose sign there puts its root beyond that end
+    stops on it.  The bracket shrinks to the sign change and is bisected
+    when a step leaves it or fails to halve the previous step.  With tol =
+    4 eps |x| + xtol (scalar or per row), a row stops once its step or
+    bracket is within tol, or, after two successive steps that are no
+    bisections, once |step|^3 <= tol |previous step|^2: the next step of a
+    quadratically convergent sequence, which Newton's matches and Halley's
+    outruns, is then within tol, so the confirming evaluation is skipped.
     """
     x, a, b = (np.array(v, dtype=float) for v in (x, a, b))
     xtol = np.broadcast_to(xtol, x.shape)
-    last = b - a
+    last, prev = b - a, np.full(x.shape, np.nan)  # |move|, |step| unless a bisection
+    open_a, open_b = np.ones(x.shape, bool), np.ones(x.shape, bool)  # not yet evaluated
     rows = np.flatnonzero(a < b)
     for _ in range(_MAX_STEPS):
         if rows.size == 0:
             return x
-        xr = x[rows]
-        g, slope = fun(xr, rows)
-        ar = np.where(g < 0.0, xr, a[rows])
-        br = np.where(g > 0.0, xr, b[rows])
+        xr, ar, br = x[rows], a[rows], b[rows]
+        g, d, c = fun(xr, rows)
+        beyond = (g >= 0.0) & (xr == ar) | (g <= 0.0) & (xr == br)
+        ar, br = np.where(g < 0.0, xr, ar), np.where(g > 0.0, xr, br)
+        open_a[rows] &= ~(g < 0.0)
+        open_b[rows] &= ~(g > 0.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = g / slope
+            half = g * c / (2.0 * d)
+            # A NaN or infinite correction (d == 0 or subnormal) fails the test too and keeps d.
+            step = np.where(beyond, 0.0, g / np.where(np.abs(half) <= 0.5 * d, d - half, d))
             new = xr - step
-        tol = 4.0 * EPS * np.abs(xr) + xtol[rows]
-        done = (g == 0.0) | (np.abs(step) <= tol)
-        newton = done | (new > ar) & (new < br) & (np.abs(step) <= 0.5 * last[rows])
-        new = np.where(newton, new, ar + 0.5 * (br - ar))
+            tol = 4.0 * EPS * np.abs(xr) + xtol[rows]
+            done = (g == 0.0) | (np.abs(step) <= tol)
+            newton = done | (new > ar) & (new < br) & (np.abs(step) <= 0.5 * last[rows])
+            predicted = newton & (np.abs(step) ** 3 <= tol * prev[rows] ** 2)
+        # A step that leaves the bracket across an end not yet evaluated goes to that end.
+        new = np.where(newton, new, np.where(
+            open_a[rows] & (new <= ar), ar,
+            np.where(open_b[rows] & (new >= br), br, ar + 0.5 * (br - ar))))
         a[rows], b[rows], x[rows], last[rows] = ar, br, new, np.abs(new - xr)
-        rows = rows[~done & (br - ar > tol)]
+        prev[rows] = np.where(newton, np.abs(step), np.nan)
+        rows = rows[~(done | predicted) & (br - ar > tol)]
     raise RuntimeError(f"bracketed Newton: {rows.size} rows did not converge")
 
 
@@ -422,13 +447,12 @@ def batched_mixture_quantile(weights, mu, scale, nu, tau):
     are solved there by _bracketed_newton, to 4 eps (|x| + smallest scale),
     and never mix, so equal rows give equal quantiles.
 
-    The slope handed to _bracketed_newton is Halley's, d - g d' / (2 d) for
-    the mixture density d = g', which makes each step cubically convergent.
-    d' needs no new transcendental call: a t density f has f'(z) = -f(z)
-    (nu + 1) z / (nu + z^2).  Where the correction exceeds half of d (far
-    from the root, or where d underflows) the plain Newton slope d is used.
-    The standard t quantiles and log-normalisers depend on nu and tau alone
-    and are evaluated before the inputs are spread over rows.
+    Each sweep hands _bracketed_newton the mixture density d = g' and its
+    slope d', so the steps are Halley's and converge cubically.  d' needs
+    no new transcendental call: a t density f has f'(z) = -f(z) (nu + 1) z
+    / (nu + z^2).  The standard t quantiles and log-normalisers depend on
+    nu and tau alone and are evaluated before the inputs are spread over
+    rows.
     """
     from scipy import special
 
@@ -442,21 +466,16 @@ def batched_mixture_quantile(weights, mu, scale, nu, tau):
     b = np.max(np.where(live, comp_q, -np.inf), axis=1)
     log_c = log_norm - np.log(s)
 
-    def cdf_and_halley_slope(x, rows):
+    def cdf_and_derivatives(x, rows):
         wr, mr, sr, nr = w[rows], mu[rows], s[rows], nu[rows]
         z = (x[:, None] - mr) / sr
         z2 = z * z
         dens = wr * np.exp(log_c[rows] - 0.5 * (nr + 1.0) * np.log1p(z2 / nr))
         g = np.sum(wr * special.stdtr(nr, z), axis=1) - tau[rows]
-        d = np.sum(dens, axis=1)
-        minus_d_prime = np.sum(dens * (nr + 1.0) * z / ((nr + z2) * sr), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            half = g * minus_d_prime / (2.0 * d)
-        # A NaN or infinite correction (d == 0 or subnormal) fails the test too and keeps d.
-        return g, np.where(np.abs(half) <= 0.5 * d, d + half, d)
+        return g, np.sum(dens, axis=1), -np.sum(dens * (nr + 1.0) * z / ((nr + z2) * sr), axis=1)
 
     x = np.clip(np.sum(w * comp_q, axis=1), a, b)
-    q = _bracketed_newton(cdf_and_halley_slope, x, a, b, 4.0 * EPS * np.min(s, axis=1))
+    q = _bracketed_newton(cdf_and_derivatives, x, a, b, 4.0 * EPS * np.min(s, axis=1))
     return q.reshape(shape)
 
 

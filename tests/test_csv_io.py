@@ -298,6 +298,22 @@ class TestWriterOracle:
         oracle_write_attribution_json(expected, dates, names, series)
         assert got.read_bytes() == expected.read_bytes()
 
+    def test_date_columns(self, tmp_path):
+        # A column of exactly datetime.date cells is formatted in one map; a
+        # datetime (a date subclass whose ISO form keeps its time) and a column
+        # mixing dates with other labels go label by label.  Both write what
+        # csv.writer writes for the ISO strings.
+        day = datetime.date(2020, 2, 29)
+        header = ["date", "moment", "mixed"]
+        columns = [(day, day + datetime.timedelta(days=1), day),
+                   [datetime.datetime(2020, 2, 29, 12, 30)] * 3,
+                   [day, None, "a,b"]]
+        panel._write_csv(tmp_path / "got.csv", header, columns)
+        rows = [[cell.isoformat() if isinstance(cell, datetime.date) else cell or ""
+                 for cell in row] for row in zip(*columns)]
+        oracle_write_csv(tmp_path / "oracle.csv", header, rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         with pytest.raises(ValueError, match="length"):
             panel._write_csv(tmp_path / "x.csv", ["a", "b"], [["x"], np.zeros(2)])

@@ -55,7 +55,7 @@ PASS_INPUTS = {
 
 
 def oracle_mixture_quantile(weights, mu, scale, nu, tau):
-    """batched_mixture_quantile with plain Newton steps: the density is the slope."""
+    """batched_mixture_quantile with plain Newton steps: the density is the slope, curvature 0."""
     nu, tau = np.asarray(nu, dtype=float), np.asarray(tau, dtype=float)
     shape, tau, (w, mu, s, nu, std_q, log_norm) = _rows(
         tau, weights, mu, scale, nu, special.stdtrit(nu, tau[..., None]), _mvt_log_norm(nu, 1)
@@ -70,7 +70,7 @@ def oracle_mixture_quantile(weights, mu, scale, nu, tau):
         wr, mr, sr, nr = w[rows], mu[rows], s[rows], nu[rows]
         z = (x[:, None] - mr) / sr
         dens = wr * np.exp(log_c[rows] - 0.5 * (nr + 1.0) * np.log1p(z * z / nr))
-        return np.sum(wr * special.stdtr(nr, z), axis=1) - tau[rows], np.sum(dens, axis=1)
+        return np.sum(wr * special.stdtr(nr, z), axis=1) - tau[rows], np.sum(dens, axis=1), 0.0
 
     x = np.clip(np.sum(w * comp_q, axis=1), a, b)
     q = studentt._bracketed_newton(cdf_and_density, x, a, b, 4.0 * EPS * np.min(s, axis=1))
@@ -175,7 +175,7 @@ class TestMvtLogpdf:
 
 
 class TestGammaFunctionGaps:
-    """The nu step's psi and psi' differences and the t normaliser's log-gamma
+    """The nu step's psi, psi' and psi'' differences and the t normaliser's log-gamma
     difference against 40-digit mpmath, at a log-uniform in [0.01, 1e8]."""
 
     A = np.exp(np.random.default_rng(26).uniform(np.log(0.01), np.log(1e8), 150))
@@ -189,12 +189,14 @@ class TestGammaFunctionGaps:
 
     @pytest.mark.parametrize("m", STEPS)
     def test_digamma_gaps(self, m):
-        psi, trigamma = _digamma_gaps(self.A, m)
+        psi, trigamma, tetragamma = _digamma_gaps(self.A, m)
         with mpmath.workdps(40):
             a = [mpmath.mpf(v) for v in self.A]
             assert self.ulps(psi, [mpmath.digamma(v) - mpmath.digamma(v + m) for v in a]) <= 6
             assert self.ulps(trigamma, [mpmath.polygamma(1, v) - mpmath.polygamma(1, v + m)
                                         for v in a]) <= 6
+            assert self.ulps(tetragamma, [mpmath.polygamma(2, v) - mpmath.polygamma(2, v + m)
+                                          for v in a]) <= 6
 
     @pytest.mark.parametrize("m", STEPS)
     def test_log_gamma_ratio(self, m):
@@ -617,7 +619,7 @@ class TestBracketedNewton:
 
         def line(x, rows):
             seen.append(rows.tolist())
-            return x - 1.0, np.ones_like(x)
+            return x - 1.0, np.ones_like(x), np.zeros_like(x)
 
         x = np.array([0.5, 7.0, -3.0, 1.5])
         a = np.array([0.0, 2.0, -3.0, 1.0])
@@ -631,10 +633,59 @@ class TestBracketedNewton:
         # A NaN value moves neither bracket end, so each row is sent back to
         # the same midpoint at every step until the step bound runs out.
         def nan(x, rows):
-            return np.full_like(x, np.nan), np.ones_like(x)
+            return np.full_like(x, np.nan), np.ones_like(x), np.zeros_like(x)
 
         with pytest.raises(RuntimeError, match="^bracketed Newton: 2 rows did not converge$"):
             _bracketed_newton(nan, [0.5, 2.0, 5.0], [0.0, 1.0, 5.0], [1.0, 3.0, 5.0], 1e-12)
+
+    @staticmethod
+    def cubic(c, seen):
+        """x^3 + x - c for the row constants c, with its slope and curvature, recording
+        each evaluation as (row, x)."""
+        def fun(x, rows):
+            seen.extend(zip(rows.tolist(), x.tolist()))
+            return x ** 3 + x - c[rows], 3.0 * x * x + 1.0, 6.0 * x
+        return fun
+
+    def test_root_beyond_an_end_stops_on_it(self):
+        # Roots near 1.516 and -1.516 lie beyond [0, 1.5]: a row reaches the end
+        # its steps cross, evaluates there once and stops on it, from inside the
+        # bracket (rows 0, 1) or from the end itself (rows 2, 3).
+        seen = []
+        c = np.array([5.0, -5.0, 5.0, -5.0])
+        root = _bracketed_newton(self.cubic(c, seen), [1.0, 1.0, 1.5, 0.0], np.zeros(4),
+                                 np.full(4, 1.5), 1e-12)
+        np.testing.assert_array_equal(root, [1.5, 0.0, 1.5, 0.0])
+        for row, end in enumerate(root):
+            assert [x for r, x in seen if r == row].count(end) == 1
+
+    def test_bisection_fallback_converges(self):
+        # Far from its root atan is flat: from 15 the step leaves the bracket and
+        # goes to the end -10, from where it leaves the bracket again, so the row
+        # is bisected until Halley steps take over.
+        seen = []
+
+        def atan(x, rows):
+            seen.append(float(x[0]))
+            return np.arctan(x), 1.0 / (1.0 + x * x), -2.0 * x / (1.0 + x * x) ** 2
+
+        root = _bracketed_newton(atan, [15.0], [-10.0], [20.0], 1e-12)
+        assert seen[:3] == [15.0, -10.0, 2.5]
+        assert abs(root[0]) <= 1e-12
+
+    def test_predicted_stop_within_tol_of_brentq(self):
+        c = np.linspace(-40.0, 40.0, 81)
+        seen, xtol = [], 1e-12
+        root = _bracketed_newton(self.cubic(c, seen), np.zeros(c.size), np.full(c.size, -4.0),
+                                 np.full(c.size, 4.0), xtol)
+        expected = [brentq(lambda x: x ** 3 + x - ci, -4.0, 4.0, xtol=1e-15) for ci in c]
+        np.testing.assert_array_less(np.abs(root - expected), 4.0 * EPS * np.abs(root) + xtol)
+        # Most rows stop on a prediction: their last evaluation's own step is above tol.
+        last = dict(seen)
+        xs = np.array([last[i] for i in range(c.size)])
+        g, d, curv = xs ** 3 + xs - c, 3.0 * xs * xs + 1.0, 6.0 * xs
+        step = g / (d - g * curv / (2.0 * d))
+        assert np.sum(np.abs(step) > 4.0 * EPS * np.abs(xs) + xtol) > c.size // 2
 
 
 class TestMixtureEs:

@@ -19,7 +19,9 @@ parameters of the fit panel, each the minimum over BLOCKS blocks of one
 call; the em_fit of the fit panel and its iterations; and the chain
 commands' EM, the SELECT sweep and the COMPARE pairwise fits of `msrisk
 shapley --compare-standard`, each the minimum of EM_CALLS calls, with the
-iterations of all their EM starts; the load_csv of every INPUTS panel
+iterations of all their EM starts, and the nu steps and nu score sweeps of
+the fit panel's em_fit and of the two chain sweeps together (one
+markov._digamma_gaps call per sweep); the load_csv of every INPUTS panel
 (minimum over BLOCKS blocks), one in-process `msrisk fit --L 2 --restarts
 1` pass on the fit panel (minimum of EM_CALLS calls), so that cli_fit -
 em_fit is the pass's input and output cost, and the sample_path that
@@ -282,23 +284,31 @@ def time_layers():
     special_threads = native_threads()
 
     modules = {"corisk": corisk, "attribution": attribution}
-    iterations = []
-    real_em_fit = markov.em_fit
+    # markov name -> count it adds to per call: each score sweep of a nu step
+    # makes one _digamma_gaps call, end probes included
+    counted = {"em_fit": "iterations", "_nu_step": "nu_step.calls",
+               "_digamma_gaps": "nu_step.sweeps"}
+    real = {name: getattr(markov, name) for name in counted}
+    counts = dict.fromkeys(counted.values(), 0)
 
-    def counted_em_fit(*args, **kwargs):
-        fit = real_em_fit(*args, **kwargs)
-        iterations.append(fit.iterations)
-        return fit
+    def counter(name):
+        def call(*args, **kwargs):
+            result = real[name](*args, **kwargs)
+            counts[counted[name]] += result.iterations if name == "em_fit" else 1
+            return result
+        return call
 
-    def em_cost(fn):
-        """(ms, EM iterations per call) of fn on the chain panel."""
-        iterations.clear()
-        markov.em_fit = counted_em_fit
+    def count(fn):
+        """fn()'s result, and the EM iterations, nu steps and nu score sweeps of the call."""
+        counts.update(dict.fromkeys(counts, 0))
+        for name in counted:
+            setattr(markov, name, counter(name))
         try:
-            fn()
+            result = fn()
         finally:
-            markov.em_fit = real_em_fit
-        return min_call_ms(fn), sum(iterations)
+            for name, function in real.items():
+                setattr(markov, name, function)
+        return result, dict(counts)
 
     out = {"import_s": import_s, "import_maxrss_mb": import_maxrss_mb,
            "threads.import": import_threads, "threads.special": special_threads}
@@ -315,8 +325,10 @@ def time_layers():
                 spec = simulate.SimSpec(model, t_len, seed)
                 out[f"sample_path@{key}"] = min_block_ms(lambda: simulate.sample_path(spec))
             if key == "fit":
-                fit = markov.em_fit(data, model.n_states)
+                fit, work = count(lambda: markov.em_fit(data, model.n_states))
                 out[f"em_fit.iterations@{key}"] = fit.iterations
+                for name in ("nu_step.calls", "nu_step.sweeps"):
+                    out[f"{name}@{key}"] = work[name]
                 out[f"em_fit@{key}"] = min_call_ms(lambda: markov.em_fit(data, model.n_states))
                 argv = ["fit", "--input", panel_path, "--L", str(model.n_states),
                         "--restarts", "1", "--out", f"{tmp}/{key}/fit"]
@@ -353,8 +365,12 @@ def time_layers():
                         markov.fit_restarts(data.select([i, j]), model.n_states, **COMPARE)
 
                 sweeps = {"select_L": lambda: markov.select_L(data, **SELECT), "compare": compare}
-                for name, fn in sweeps.items():
-                    out[f"{name}@{key}"], out[f"{name}.iterations@{key}"] = em_cost(fn)
+                works = [count(fn)[1] for fn in sweeps.values()]
+                for (name, fn), work in zip(sweeps.items(), works):
+                    out[f"{name}@{key}"] = min_call_ms(fn)
+                    out[f"{name}.iterations@{key}"] = work["iterations"]
+                for name in ("nu_step.calls", "nu_step.sweeps"):
+                    out[f"{name}@{key}"] = sum(work[name] for work in works)
     return out
 
 
@@ -504,6 +520,9 @@ def main(argv=None) -> int:
         "what": f"{BLOCKS}-block minimum of one call (em_fit, cli_fit, select_L, compare: "
                 f"minimum of {EM_CALLS} calls) per fresh interpreter, {LAYER_RUNS} interpreters "
                 "per side in alternating order; *.iterations are EM iteration counts; "
+                "nu_step.calls and .sweeps count the nu steps and their score sweeps (one "
+                "markov._digamma_gaps call each) of em_fit@fit and of select_L and compare "
+                "together@chain; "
                 "quantile_root.stdtr and .sweeps are counts; "
                 "import_s (seconds) and import_maxrss_mb (MB) are the interpreter's first "
                 "msrisk import and its ru_maxrss right after it; threads.import and "
