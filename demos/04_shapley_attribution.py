@@ -13,6 +13,7 @@ from msrisk import (
     MvtParams,
     attribution_series,
     fit_restarts,
+    marginalize_fit,
     sample_path,
     standard_pairwise_delta,
     vis_a_vis,
@@ -55,8 +56,7 @@ share_ab, share_ba = vis_a_vis(fit, (0, 1))
 print(f"\nvis-a-vis s1/s2 at the last date: "
       f"s2 onto s1 = {share_ab[t]:.4f}, s1 onto s2 = {share_ba[t]:.4f}")
 
-pair_fit = fit_restarts(panel.select([0, 1]), 2, n_restarts=3, seed=0)
-std = standard_pairwise_delta(pair_fit, 0, measure="covar")
+std = standard_pairwise_delta(marginalize_fit(fit, [0, 1]), 0, measure="covar")
 print(f"\nstandard bivariate Delta (s1 | s2) at the last date: {std[t]:.4f}")
 print("The bivariate measure absorbs the co-movement of the sectors it")
 print("omits, so it overstates the partner's own contribution; the Shapley")

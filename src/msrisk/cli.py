@@ -83,7 +83,6 @@ def _build_parser():
         "--compare-standard", action="store_true",
         help="also emit bivariate standard Delta series per pair",
     )
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("simulate", help="simulate a panel plus ground-truth model")
     _add_common(p)
@@ -220,14 +219,11 @@ def cmd_shapley(args) -> int:
     attribution.write_attribution_json(json_path, data.dates, data.names, series)
     written = [csv_path, json_path]
     if args.compare_standard:
-        # One bivariate fit per unordered pair; column 0 of pair (i, j) is
-        # series i, so target 0 gives i's Delta and target 1 gives j's.
+        # Column 0 of pair (i, j) is series i, so target 0 gives i's Delta
+        # and target 1 gives j's.
         deltas = {}
         for i, j in itertools.combinations(range(data.n_series), 2):
-            pair_fit = markov.fit_restarts(
-                data.select([i, j]), fit.model.n_states,
-                n_restarts=3, seed=args.seed,
-            )
+            pair_fit = corisk.marginalize_fit(fit, [i, j])
             for target, pair in enumerate(((i, j), (j, i))):
                 deltas[pair] = corisk.standard_pairwise_delta(pair_fit, target, **query)
         std_path = outdir / "standard_delta.csv"

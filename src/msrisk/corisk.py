@@ -442,12 +442,14 @@ def marginalize_fit(fit: FitResult, indices) -> FitResult:
 
 def standard_pairwise_delta(fit_bivariate: FitResult, target: int, measure: str = "covar",
                             tau1: float = 0.05, tau2: float = 0.05) -> np.ndarray:
-    """Standard (single-conditioner) Delta series from a bivariate fit.
+    """Standard (single-conditioner) Delta series of one pair of series.
 
-    target is the column (0 or 1) of the bivariate model whose risk is
-    measured; the other column is the lone conditioner.  Used for
-    comparison against the Shapley share of the same pair inside the full
-    model; the two coincide only under conditional independence.
+    fit_bivariate is the joint fit's bivariate marginal, marginalize_fit(fit,
+    [i, j]): the form `msrisk shapley --compare-standard` and criterion 8 use.
+    target is the column (0 or 1) whose risk is measured; the other column
+    is the lone conditioner.  Used for comparison against the Shapley share
+    of the same pair inside the full model; the two coincide only under
+    conditional independence.
     """
     if fit_bivariate.model.dim != 2:
         raise ValueError("standard pairwise Delta needs a bivariate model")

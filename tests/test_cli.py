@@ -430,33 +430,42 @@ class TestShapley:
         # 2 ordered pairs x 120 dates.
         assert len(rows) == 2 * 120
 
-    def test_compare_standard_fits_each_pair_once(self, sim3_dir, tmp_path, monkeypatch):
-        from msrisk import markov
+    @pytest.mark.parametrize("measure", ["covar", "coes"])
+    def test_compare_standard_is_the_joint_marginal(self, sim3_dir, tmp_path, monkeypatch,
+                                                   measure):
+        from msrisk import corisk, markov
 
-        calls = []
-        original = markov.fit_restarts
+        def no_em(*args, **kwargs):
+            raise AssertionError("shapley --compare-standard ran EM")
 
-        def counting(panel, *args, **kwargs):
-            calls.append(tuple(panel.names))
-            return original(panel, *args, **kwargs)
-
-        monkeypatch.setattr(markov, "fit_restarts", counting)
+        monkeypatch.setattr(markov, "em_fit", no_em)
+        panel_path, model_path = sim3_dir / "panel.csv", sim3_dir / "truth_model.json"
         code = main(
-            ["shapley", "--input", str(sim3_dir / "panel.csv"),
-             "--model", str(sim3_dir / "truth_model.json"),
-             "--compare-standard", "--out", str(tmp_path)]
+            ["shapley", "--input", str(panel_path), "--model", str(model_path),
+             "--measure", measure, "--compare-standard", "--out", str(tmp_path)]
         )
         assert code == 0
-        p = 3
-        assert len(calls) == p * (p - 1) // 2
-        assert len(set(calls)) == len(calls)
+        data = load_csv(panel_path)
+        fit = markov.fit_from_model(load_model(model_path)[0], data)
+        p = data.n_series
         rows = read_rows(tmp_path / "standard_delta.csv")
         # every ordered (target, conditioner) pair x 40 dates
         assert len(rows) == p * (p - 1) * 40
-        names = {name for pair in calls for name in pair}
         assert {(r["target"], r["conditioner"]) for r in rows} == {
-            (a, b) for a in names for b in names if a != b
+            (a, b) for a in data.names for b in data.names if a != b
         }
+        index = {name: k for k, name in enumerate(data.names)}
+        dates = [d.isoformat() for d in data.dates]
+        expected = {}
+        for row in rows:
+            i, j = index[row["target"]], index[row["conditioner"]]
+            if (i, j) not in expected:
+                pair = sorted((i, j))
+                expected[i, j] = corisk.standard_pairwise_delta(
+                    corisk.marginalize_fit(fit, pair), pair.index(i), measure=measure)
+            t = dates.index(row["date"])
+            assert row["measure"] == measure
+            assert row["delta"] == repr(float(expected[i, j][t])), (i, j, t)
 
 
 class TestConfig:
@@ -557,11 +566,11 @@ class TestConfig:
 class TestSeedFlag:
     """--seed belongs to the commands that draw random numbers and to no other."""
 
-    @pytest.mark.parametrize("command", ["stats", "risk"])
+    @pytest.mark.parametrize("command", ["stats", "risk", "shapley"])
     def test_rejected_where_nothing_is_drawn(self, sim_dir, tmp_path, capsys, command):
         argv = [command, "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path),
                 "--seed", "1"]
-        if command == "risk":
+        if command in ("risk", "shapley"):
             argv += ["--model", str(sim_dir / "truth_model.json")]
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -570,8 +579,8 @@ class TestSeedFlag:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, has_seed", [
-        ("stats", False), ("risk", False),
-        ("select", True), ("fit", True), ("shapley", True), ("simulate", True),
+        ("stats", False), ("risk", False), ("shapley", False),
+        ("select", True), ("fit", True), ("simulate", True),
     ])
     def test_help_lists_seed_only_where_drawn(self, capsys, command, has_seed):
         with pytest.raises(SystemExit) as info:

@@ -629,7 +629,7 @@ class TestStandardPairwise:
 
     def test_requires_bivariate(self):
         fit, _ = TestSeries().build_fit(88, p=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^standard pairwise Delta needs a bivariate model$"):
             standard_pairwise_delta(fit, 0)
 
 

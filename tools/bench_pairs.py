@@ -16,12 +16,14 @@ It then times the library in LAYER_RUNS fresh interpreters of each checkout
 (alternating), each on the INPUTS panels: the LAYERS co-risk calls on the
 risk, shapley and chain panels and one E-step and one M-step at the fitted
 parameters of the fit panel, each the minimum over BLOCKS blocks of one
-call; the em_fit of the fit panel and its iterations; and the chain
-commands' EM, the SELECT sweep and the COMPARE pairwise fits of `msrisk
-shapley --compare-standard`, each the minimum of EM_CALLS calls, with the
-iterations of all their EM starts, and the nu steps and nu score sweeps of
-the fit panel's em_fit and of the two chain sweeps together (one
-markov._digamma_gaps call per sweep); the load_csv of every INPUTS panel
+call; the em_fit of the fit panel and its iterations; the chain's one EM
+command, the SELECT sweep, as the minimum of EM_CALLS calls, with the
+iterations of all its EM starts; the nu steps and nu score sweeps of the
+fit panel's em_fit and of the SELECT sweep alone (one markov._digamma_gaps
+call per sweep); the 12 standard pairwise Delta series of `msrisk shapley
+--measure coes --compare-standard` on the chain panel, each from the
+bivariate marginal of the fit (COMPARE, minimum over BLOCKS blocks of the
+12 calls); the load_csv of every INPUTS panel
 (minimum over BLOCKS blocks), one in-process `msrisk fit --L 2 --restarts
 1` pass on the fit panel (minimum of EM_CALLS calls), so that cli_fit -
 em_fit is the pass's input and output cost, and the sample_path that
@@ -92,10 +94,11 @@ LAYERS = {
     "attribution_series.covar": ("attribution", "attribution_series", {"measure": "covar"}),
 }
 # EM cost on short panels, on the chain panel: the `msrisk select --L-range
-# 2:6 --restarts 3` sweep (15 starts at T=500) and the 6 pairwise L=2 fits of
-# 3 starts each of `msrisk shapley --compare-standard`.
+# 2:6 --restarts 3` sweep (15 starts at T=500).
 SELECT = {"L_range": range(2, 7), "n_restarts": 3}
-COMPARE = {"n_restarts": 3}
+# The standard_pairwise_delta keywords of `msrisk shapley --measure coes
+# --compare-standard`, called on the bivariate marginal of every pair.
+COMPARE = {"measure": "coes"}
 EM_CALLS = 3
 # INPUTS keys whose panel draw, SimSpec(truth model, --T, --seed), is timed
 SAMPLE_PATH = ("fit", "chain")
@@ -360,17 +363,21 @@ def time_layers():
                     lambda: attribution.write_attribution_json(path, data.dates, data.names, series)
                 )
             if key == "chain":
+                def select():
+                    return markov.select_L(data, **SELECT)
+
                 def compare():
                     for i, j in itertools.combinations(range(data.n_series), 2):
-                        markov.fit_restarts(data.select([i, j]), model.n_states, **COMPARE)
+                        pair_fit = corisk.marginalize_fit(fit, [i, j])
+                        for target in (0, 1):
+                            corisk.standard_pairwise_delta(pair_fit, target, **COMPARE)
 
-                sweeps = {"select_L": lambda: markov.select_L(data, **SELECT), "compare": compare}
-                works = [count(fn)[1] for fn in sweeps.values()]
-                for (name, fn), work in zip(sweeps.items(), works):
-                    out[f"{name}@{key}"] = min_call_ms(fn)
-                    out[f"{name}.iterations@{key}"] = work["iterations"]
+                work = count(select)[1]
+                out[f"select_L@{key}"] = min_call_ms(select)
+                out[f"select_L.iterations@{key}"] = work["iterations"]
                 for name in ("nu_step.calls", "nu_step.sweeps"):
-                    out[f"{name}@{key}"] = sum(work[name] for work in works)
+                    out[f"{name}@{key}"] = work[name]
+                out[f"compare@{key}"] = min_block_ms(compare)
     return out
 
 
@@ -517,12 +524,11 @@ def main(argv=None) -> int:
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             runs[side].append(layer_ms(sides[side]))
     doc["layer_ms"] = {
-        "what": f"{BLOCKS}-block minimum of one call (em_fit, cli_fit, select_L, compare: "
+        "what": f"{BLOCKS}-block minimum of one call (em_fit, cli_fit, select_L: "
                 f"minimum of {EM_CALLS} calls) per fresh interpreter, {LAYER_RUNS} interpreters "
                 "per side in alternating order; *.iterations are EM iteration counts; "
                 "nu_step.calls and .sweeps count the nu steps and their score sweeps (one "
-                "markov._digamma_gaps call each) of em_fit@fit and of select_L and compare "
-                "together@chain; "
+                "markov._digamma_gaps call each) of em_fit@fit and of select_L@chain; "
                 "quantile_root.stdtr and .sweeps are counts; "
                 "import_s (seconds) and import_maxrss_mb (MB) are the interpreter's first "
                 "msrisk import and its ru_maxrss right after it; threads.import and "
@@ -545,7 +551,8 @@ def main(argv=None) -> int:
             "_e_step": "msrisk.markov._e_step(params, y), params from one _m_step at the fit",
             "_m_step": "msrisk.markov._m_step(y, params, smoothed, counts, maha), same params",
             "select_L": f"msrisk.markov.select_L(panel, **{SELECT})",
-            "compare": f"msrisk.markov.fit_restarts(pair panel, L, **{COMPARE}) for 6 pairs",
+            "compare": "msrisk.corisk.standard_pairwise_delta(marginalize_fit(fit, [i, j]), "
+                       f"target, **{COMPARE}) for 6 pairs and targets 0 and 1",
         },
         "runs": runs,
         **{
